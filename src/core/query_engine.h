@@ -37,8 +37,8 @@ class QueryEngine {
   ///
   /// Per-query cost attribution hook: when
   /// QueryParams::collect_source_costs is set, implementations that
-  /// support it fill `stats->source_costs` with the wall-clock each
-  /// touched source accounted for (see query/query_types.h). ShardedEngine
+  /// support it fill `stats->source_costs` with the deterministic work
+  /// each touched source accounted for (see query/query_types.h). ShardedEngine
   /// both consumes the breakdown (feeding its measured cost model for
   /// calibrated partitioning / auto-rebalance) and re-exposes it with
   /// global source ids; engines without a breakdown leave it empty.

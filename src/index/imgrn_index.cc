@@ -83,12 +83,13 @@ Status ImGrnIndex::Build(GeneDatabase* database) {
     }
   } else {
     const size_t n = database_->size();
-    // Determinism under parallelism: (1) the permutation cache is
-    // pre-warmed in source order, so its per-length permutations do not
-    // depend on worker scheduling; (2) per-matrix RNGs are pre-split
-    // sequentially.
+    // Determinism and thread safety under parallelism: (1) the
+    // permutation cache is pre-warmed in source order — both the
+    // permutations and the blocked layout the embedding reads — so workers
+    // only read it and its contents do not depend on worker scheduling;
+    // (2) per-matrix RNGs are pre-split sequentially.
     for (SourceId i = 0; i < n; ++i) {
-      embed_cache_->ForLength(database_->matrix(i).num_samples());
+      embed_cache_->BlocksForLength(database_->matrix(i).num_samples());
     }
     std::vector<Rng> matrix_rngs;
     matrix_rngs.reserve(n);
@@ -397,20 +398,6 @@ bool ImGrnIndex::IndexPruneNodePair(const Mbr& ea, const Mbr& eb,
     }
   }
   return false;
-}
-
-EmbeddedPoint ImGrnIndex::PointFromLeafEntry(const RTreeEntry& entry) const {
-  const size_t d = options_.num_pivots;
-  IMGRN_CHECK_EQ(entry.mbr.dims(), 2 * d + 1);
-  EmbeddedPoint point;
-  point.x.resize(d);
-  point.y.resize(d);
-  for (size_t w = 0; w < d; ++w) {
-    point.x[w] = entry.mbr.lo(2 * w);
-    point.y[w] = entry.mbr.lo(2 * w + 1);
-  }
-  point.gene = static_cast<GeneId>(entry.mbr.lo(2 * d));
-  return point;
 }
 
 }  // namespace imgrn

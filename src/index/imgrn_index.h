@@ -163,9 +163,6 @@ class ImGrnIndex {
   static bool IndexPruneNodePair(const Mbr& ea, const Mbr& eb,
                                  size_t num_pivots, double gamma);
 
-  /// Reconstructs an EmbeddedPoint from a leaf entry (point MBR).
-  EmbeddedPoint PointFromLeafEntry(const RTreeEntry& entry) const;
-
   /// --- Persistence (index_io.h) ---
 
   const std::vector<PivotSet>& pivot_sets() const { return pivot_sets_; }

@@ -68,7 +68,9 @@ class PermutationBlocks {
 /// cache seeded from the query params, which is also what makes concurrent
 /// queries bit-reproducible (see QueryService). ImGrnIndex's long-lived
 /// embed cache is only touched on the update path, which QueryService
-/// serializes behind its writer lock.
+/// serializes behind its writer lock, and by parallel index builds, which
+/// first fill it (BlocksForLength for every length) so that their workers
+/// only read it.
 ///
 /// Order invariance: the permutations of length l depend only on
 /// (seed, num_samples, l) — each length draws from its own seeded stream,
@@ -93,14 +95,8 @@ class PermutationCache {
   const PermutationBlocks& BlocksForLength(size_t l);
 
   /// Cumulative wall-clock spent GENERATING cache entries (the ForLength
-  /// misses and block re-layouts) since construction. Fills are amortized
-  /// overhead of the whole call that owns the cache, not of whichever
-  /// matrix happened to trigger them: per-source cost attribution reads
-  /// this before/after refining each source and books the delta to a
-  /// shared overhead bucket instead of the source (see
-  /// QueryStats::permutation_fill_seconds) — otherwise the first refined
-  /// source of each length eats the fill and the measured cost model
-  /// becomes layout-dependent.
+  /// misses and block re-layouts) since construction; reported per query
+  /// as QueryStats::permutation_fill_seconds.
   double fill_seconds() const { return fill_seconds_; }
 
  private:

@@ -134,9 +134,9 @@ Result<std::vector<QueryMatch>> ImGrnQueryProcessor::QueryWithGraph(
   std::vector<SourceId> sources(ctx.candidate_sources.begin(),
                                 ctx.candidate_sources.end());
   std::sort(sources.begin(), sources.end());
-  // Per-source cost attribution: refinement is timed exactly per source;
-  // the traversal (interleaved across sources by construction) is prorated
-  // by each source's share of the surviving candidate pairs.
+  // Per-source cost attribution in deterministic work units: the source's
+  // refinement work (see RefineMatrix) plus its surviving candidate pairs,
+  // the traversal's footprint on it.
   const bool attribute = params.collect_source_costs;
   std::unordered_map<SourceId, uint64_t> pairs_of;
   if (attribute) {
@@ -149,31 +149,17 @@ Result<std::vector<QueryMatch>> ImGrnQueryProcessor::QueryWithGraph(
     if (control != nullptr) {
       IMGRN_RETURN_IF_ERROR(control->Check());
     }
-    Stopwatch source_timer;
-    const double fill_before = cache.fill_seconds();
     QueryMatch match;
+    uint64_t refine_work = 0;
     if (RefineMatrix(*index_, source, query_graph, params, &cache, &match,
-                     &local_stats)) {
+                     &local_stats, &refine_work)) {
       matches.push_back(std::move(match));
     }
     if (attribute) {
       SourceCostSample sample;
       sample.source = source;
-      // A cache fill triggered inside this source's refinement is shared
-      // overhead (every later source of the same length reuses it), not
-      // this source's cost: subtract it, or the first-refined source of
-      // each length reads as more expensive than its identical peers and
-      // the measured EWMAs become layout-dependent. The total fill is
-      // reported separately in permutation_fill_seconds below.
-      const double fill_delta = cache.fill_seconds() - fill_before;
-      sample.seconds =
-          std::max(0.0, source_timer.ElapsedSeconds() - fill_delta);
       sample.candidate_pairs = pairs_of[source];
-      if (!ctx.candidates.empty()) {
-        sample.seconds += local_stats.traversal_seconds *
-                          static_cast<double>(sample.candidate_pairs) /
-                          static_cast<double>(ctx.candidates.size());
-      }
+      sample.work = refine_work + sample.candidate_pairs;
       local_stats.source_costs.push_back(sample);
     }
   }
@@ -237,62 +223,107 @@ Status ImGrnQueryProcessor::TraverseIndex(const ProbGraph& query,
   // genes.
   const size_t gene_dim = 2 * d;
   const double anchor_value = static_cast<double>(ctx->anchor_gene);
-  auto gene_ranges_feasible = [&](const RTreeEntry& ea,
-                                  const RTreeEntry& eb) {
-    if (ea.mbr.lo(gene_dim) > anchor_value ||
-        ea.mbr.hi(gene_dim) < anchor_value) {
-      return false;
+
+  // Every check except Lemma 6 looks at one side of a pair only, so it
+  // runs once per child (GraphMini-style shrunken candidate sets) instead
+  // of once per child pair. A child survives as an `a` when it may hold
+  // the anchor gene, and as a `b` when it may hold a neighbor gene; both
+  // must intersect the qV_d(s) & qV_d(t) source filter.
+  auto a_side_survives = [&](const RTreeEntry& ea) {
+    return ea.mbr.lo(gene_dim) <= anchor_value &&
+           anchor_value <= ea.mbr.hi(gene_dim) &&
+           index_->EntryMayContainGene(ea, ctx->anchor_gene) &&
+           index_->EntryMayIntersectSources(ea, ctx->source_filter_sig);
+  };
+  auto b_side_survives = [&](const RTreeEntry& eb) {
+    const bool covers_neighbor = std::any_of(
+        ctx->neighbor_genes.begin(), ctx->neighbor_genes.end(),
+        [&](GeneId gene) {
+          const double value = static_cast<double>(gene);
+          return eb.mbr.lo(gene_dim) <= value && value <= eb.mbr.hi(gene_dim);
+        });
+    return covers_neighbor &&
+           ByteSignaturesIntersect(index_->GeneSignature(eb),
+                                   ctx->neighbor_gene_sig) &&
+           index_->EntryMayIntersectSources(eb, ctx->source_filter_sig);
+  };
+
+  // Expands one internal node pair (lines 9-13 and 22-26): filters each
+  // side's children once, then crosses only the survivors through Lemma 6
+  // and queues those that pass under `child_key`. The counters keep their
+  // per-pair meaning: all |A|·|B| child pairs count as examined, and those
+  // with a failing side as signature-pruned.
+  std::priority_queue<QueueElement, std::vector<QueueElement>, QueueCompare>
+      queue;
+  std::vector<const RTreeEntry*> survivors_a;
+  std::vector<const RTreeEntry*> survivors_b;
+  auto expand_pair = [&](const RTreeNode& node_a, const RTreeNode& node_b,
+                         int child_key) {
+    survivors_a.clear();
+    for (const RTreeEntry& ea : node_a.entries) {
+      if (a_side_survives(ea)) survivors_a.push_back(&ea);
     }
-    for (GeneId gene : ctx->neighbor_genes) {
-      const double value = static_cast<double>(gene);
-      if (eb.mbr.lo(gene_dim) <= value && value <= eb.mbr.hi(gene_dim)) {
-        return true;
+    survivors_b.clear();
+    for (const RTreeEntry& eb : node_b.entries) {
+      if (b_side_survives(eb)) survivors_b.push_back(&eb);
+    }
+    const size_t examined = node_a.entries.size() * node_b.entries.size();
+    const size_t crossed = survivors_a.size() * survivors_b.size();
+    stats->node_pairs_examined += examined;
+    stats->node_pairs_pruned_signature += examined - crossed;
+    for (const RTreeEntry* ea : survivors_a) {
+      for (const RTreeEntry* eb : survivors_b) {
+        if (params.use_index_pruning &&
+            (ImGrnIndex::IndexPruneNodePair(ea->mbr, eb->mbr, d,
+                                            params.gamma) ||
+             ImGrnIndex::IndexPruneNodePair(eb->mbr, ea->mbr, d,
+                                            params.gamma))) {
+          ++stats->node_pairs_pruned_index;
+          continue;
+        }
+        queue.push(QueueElement{child_key, static_cast<NodeId>(ea->handle),
+                                static_cast<NodeId>(eb->handle)});
       }
     }
-    return false;
   };
 
-  // Examines one ordered child pair; returns true when it survives the
-  // gene-range + signature + Lemma-6 pruning.
-  auto pair_survives = [&](const RTreeEntry& ea, const RTreeEntry& eb) {
-    ++stats->node_pairs_examined;
-    if (!gene_ranges_feasible(ea, eb) ||
-        !index_->EntryMayContainGene(ea, ctx->anchor_gene) ||
-        !ByteSignaturesIntersect(index_->GeneSignature(eb),
-                                 ctx->neighbor_gene_sig) ||
-        !index_->EntryMayIntersectSources(ea, ctx->source_filter_sig) ||
-        !index_->EntryMayIntersectSources(eb, ctx->source_filter_sig)) {
-      ++stats->node_pairs_pruned_signature;
-      return false;
-    }
-    if (params.use_index_pruning &&
-        (ImGrnIndex::IndexPruneNodePair(ea.mbr, eb.mbr, d, params.gamma) ||
-         ImGrnIndex::IndexPruneNodePair(eb.mbr, ea.mbr, d, params.gamma))) {
-      ++stats->node_pairs_pruned_index;
-      return false;
-    }
-    return true;
+  // Processes a leaf node pair (lines 16-21). A leaf entry is a point MBR
+  // whose gene-ID coordinate is the gene itself, so each leaf is filtered
+  // to its anchor (resp. neighbor) entries once; the pivot test reads the
+  // record's stored embedding.
+  auto gene_of = [&](const RTreeEntry& entry) {
+    return static_cast<GeneId>(entry.mbr.lo(gene_dim));
   };
-
-  // Processes a leaf node pair (lines 16-21).
+  std::vector<const RTreeEntry*> anchor_entries;
+  std::vector<const RTreeEntry*> neighbor_entries;
   auto process_leaf_pair = [&](const RTreeNode& leaf_a,
                                const RTreeNode& leaf_b) {
+    anchor_entries.clear();
     for (const RTreeEntry& pa : leaf_a.entries) {
-      const EmbeddedPoint point_a = index_->PointFromLeafEntry(pa);
-      if (point_a.gene != ctx->anchor_gene) continue;
-      const RecordRef ref_a = DecodeRecordRef(pa.handle);
-      for (const RTreeEntry& pb : leaf_b.entries) {
-        const EmbeddedPoint point_b = index_->PointFromLeafEntry(pb);
-        if (!ctx->neighbor_genes.contains(point_b.gene)) continue;
-        const RecordRef ref_b = DecodeRecordRef(pb.handle);
+      if (gene_of(pa) == ctx->anchor_gene) anchor_entries.push_back(&pa);
+    }
+    if (anchor_entries.empty()) return;
+    neighbor_entries.clear();
+    for (const RTreeEntry& pb : leaf_b.entries) {
+      if (ctx->neighbor_genes.contains(gene_of(pb))) {
+        neighbor_entries.push_back(&pb);
+      }
+    }
+    for (const RTreeEntry* pa : anchor_entries) {
+      const RecordRef ref_a = DecodeRecordRef(pa->handle);
+      for (const RTreeEntry* pb : neighbor_entries) {
+        const RecordRef ref_b = DecodeRecordRef(pb->handle);
         if (ref_a.source != ref_b.source) continue;
         ++stats->leaf_pairs_examined;
 
-        if (params.use_pivot_pruning &&
-            (PivotPruneEdge(point_a, point_b, params.gamma) ||
-             PivotPruneEdge(point_b, point_a, params.gamma))) {
-          ++stats->leaf_pairs_pruned_pivot;
-          continue;
+        if (params.use_pivot_pruning) {
+          const EmbeddedPoint& point_a = index_->embedded_point(ref_a);
+          const EmbeddedPoint& point_b = index_->embedded_point(ref_b);
+          if (PivotPruneEdge(point_a, point_b, params.gamma) ||
+              PivotPruneEdge(point_b, point_a, params.gamma)) {
+            ++stats->leaf_pairs_pruned_pivot;
+            continue;
+          }
         }
         if (params.use_edge_pruning) {
           const GeneMatrix& matrix = index_->database().matrix(ref_a.source);
@@ -313,8 +344,6 @@ Status ImGrnQueryProcessor::TraverseIndex(const ProbGraph& query,
   };
 
   if (rtree.root_id() == kInvalidNodeId) return Status::Ok();
-  std::priority_queue<QueueElement, std::vector<QueueElement>, QueueCompare>
-      queue;
 
   Result<const RTreeNode*> root_fetch = rtree.node(rtree.root_id());
   if (!root_fetch.ok()) return root_fetch.status();
@@ -324,14 +353,7 @@ Status ImGrnQueryProcessor::TraverseIndex(const ProbGraph& query,
     return Status::Ok();
   }
   // Seed with surviving ordered pairs of root entries (lines 9-13).
-  for (const RTreeEntry& ea : root.entries) {
-    for (const RTreeEntry& eb : root.entries) {
-      if (!pair_survives(ea, eb)) continue;
-      queue.push(QueueElement{root.level - 1,
-                              static_cast<NodeId>(ea.handle),
-                              static_cast<NodeId>(eb.handle)});
-    }
-  }
+  expand_pair(root, root, root.level - 1);
 
   // Main loop (lines 14-27). The control checkpoint sits here — once per
   // popped node pair — so a deadline or cancel stops the traversal within
@@ -352,14 +374,7 @@ Status ImGrnQueryProcessor::TraverseIndex(const ProbGraph& query,
       process_leaf_pair(node_a, node_b);
       continue;
     }
-    for (const RTreeEntry& ca : node_a.entries) {
-      for (const RTreeEntry& cb : node_b.entries) {
-        if (!pair_survives(ca, cb)) continue;
-        queue.push(QueueElement{element.key - 1,
-                                static_cast<NodeId>(ca.handle),
-                                static_cast<NodeId>(cb.handle)});
-      }
-    }
+    expand_pair(node_a, node_b, element.key - 1);
   }
   return Status::Ok();
 }

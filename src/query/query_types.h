@@ -34,7 +34,7 @@ struct QueryParams {
   /// matches in source order.
   size_t top_k = 0;
 
-  /// When set, the processor attributes the query's wall-clock to the
+  /// When set, the processor attributes the query's work to the
   /// individual sources it touched and reports the breakdown in
   /// QueryStats::source_costs. Off by default: the breakdown costs a small
   /// amount of bookkeeping per candidate source, and only load-balancing
@@ -72,18 +72,16 @@ struct QueryMatch {
 void FinalizeMatches(size_t top_k, std::vector<QueryMatch>* matches);
 
 /// One source's share of a query's work, reported only when
-/// QueryParams::collect_source_costs is set. `seconds` is wall-clock the
-/// query spent on this source: its refinement time measured exactly
-/// (minus any permutation-cache fill the source happened to trigger —
-/// fills are per-query overhead shared across sources and are reported in
-/// QueryStats::permutation_fill_seconds instead), plus the shared
-/// index-traversal time prorated by the source's share of the surviving
-/// candidate pairs (traversal work is interleaved across sources, so an
-/// exact per-source split does not exist; candidate pairs are the closest
-/// observable proxy for where the traversal lingered).
+/// QueryParams::collect_source_costs is set. `work` is a deterministic
+/// count, not wall-clock: the source's refinement work (l per query edge
+/// whose stage-2 bounds were computed, S x l per edge estimated by Monte
+/// Carlo, where l is the source's sample count and S the refinement
+/// samples) plus its surviving candidate pairs, the traversal's footprint
+/// on the source. It is identical across runs, machines, thread counts
+/// and shard layouts, so a cost model fed with it is reproducible.
 struct SourceCostSample {
   SourceId source = 0;
-  double seconds = 0.0;
+  uint64_t work = 0;
   uint64_t candidate_pairs = 0;
 };
 
@@ -97,14 +95,9 @@ struct QueryStats {
   double total_seconds = 0.0;
 
   /// Wall-clock spent filling the refinement PermutationCache (generating
-  /// the per-length permutation samples and their block re-layouts). This
-  /// is per-QUERY overhead — each distinct sample length is filled once no
-  /// matter how many sources share it — so it is reported here and
-  /// deliberately EXCLUDED from the per-source seconds in source_costs:
-  /// booking it to whichever source happened to refine first made the
-  /// measured cost model layout-dependent (the same source read as more
-  /// expensive whenever it led its shard's refinement order). The sharded
-  /// engine books this to a per-shard overhead bucket instead.
+  /// the per-length permutation samples and their block re-layouts). Each
+  /// distinct sample length is filled once per query, however many sources
+  /// share it.
   double permutation_fill_seconds = 0.0;
 
   /// Physical page accesses (buffer-pool misses) during the query.
@@ -115,6 +108,11 @@ struct QueryStats {
   size_t query_vertices = 0;
   size_t query_edges = 0;
 
+  /// Ordered child pairs of the expanded node pairs. The traversal tests
+  /// each child's one-sided checks once, so a node pair with |A| and |B|
+  /// children, of which |A'| and |B'| pass, adds |A|·|B| here and
+  /// |A|·|B| - |A'|·|B'| to node_pairs_pruned_signature: the same values
+  /// as testing every pair.
   size_t node_pairs_examined = 0;
   size_t node_pairs_pruned_signature = 0;
   size_t node_pairs_pruned_index = 0;  // Lemma 6.

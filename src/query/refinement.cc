@@ -14,10 +14,13 @@ namespace imgrn {
 bool RefineMatrix(const ImGrnIndex& index, SourceId source,
                   const ProbGraph& query, const QueryParams& params,
                   PermutationCache* cache, QueryMatch* match,
-                  QueryStats* stats) {
+                  QueryStats* stats, uint64_t* work) {
   const GeneMatrix& matrix = index.database().matrix(source);
   IMGRN_CHECK(matrix.is_standardized());
   const size_t l = matrix.num_samples();
+  uint64_t local_work = 0;
+  if (work == nullptr) work = &local_work;
+  *work = 0;
 
   // Stage 1: every query gene must be present. (Gene labels are unique per
   // matrix, so the label-constrained embedding is forced; the VF2 run below
@@ -43,6 +46,7 @@ bool RefineMatrix(const ImGrnIndex& index, SourceId source,
       // SIMD backend. The heavy per-sample work below is batched instead.
       const double distance =
           EuclideanDistance(matrix.Column(ca), matrix.Column(cb));
+      *work += l;
       double ub = MarkovUpperBoundClosedForm(distance, l);
       if (params.use_pivot_pruning) {
         const EmbeddedPoint& pa = index.embedded_point(
@@ -76,6 +80,7 @@ bool RefineMatrix(const ImGrnIndex& index, SourceId source,
     const size_t cb = static_cast<size_t>(column_of[qe.v]);
     const double p = EstimateEdgeProbabilityCached(matrix.Column(ca),
                                                    matrix.Column(cb), cache);
+    *work += cache->num_samples() * l;
     if (p > params.gamma) {
       candidate.AddEdge(qe.u, qe.v, p);
     }

@@ -24,10 +24,15 @@ namespace imgrn {
 ///
 /// Returns true and fills `match` when the matrix is an answer. `stats` may
 /// be null. `cache` supplies permutations for the exact stage.
+///
+/// When `work` is non-null it receives the deterministic work units the
+/// call spent: l per edge whose stage-2 bounds it computed, plus S x l per
+/// edge whose probability it estimated by Monte Carlo (S = the cache's
+/// samples, l = the matrix's samples).
 bool RefineMatrix(const ImGrnIndex& index, SourceId source,
                   const ProbGraph& query, const QueryParams& params,
                   PermutationCache* cache, QueryMatch* match,
-                  QueryStats* stats);
+                  QueryStats* stats, uint64_t* work = nullptr);
 
 }  // namespace imgrn
 

@@ -61,8 +61,8 @@ void MeasuredCostRegistry::SetClockForTesting(int64_t (*clock_micros)()) {
   clock_micros_ = clock_micros;
 }
 
-void MeasuredCostRegistry::Record(SourceId source, double seconds) {
-  if (!(seconds >= 0.0)) seconds = 0.0;  // Negative clock skew and NaN.
+void MeasuredCostRegistry::Record(SourceId source, double cost) {
+  if (!(cost >= 0.0)) cost = 0.0;  // Negative values and NaN.
   Entry* entry = EntryFor(source);
   // samples is bumped first so a racing reader can never see samples == 0
   // next to a non-zero EWMA; seeing samples >= 1 next to a slightly stale
@@ -77,9 +77,9 @@ void MeasuredCostRegistry::Record(SourceId source, double seconds) {
   const double decay = n == 0 ? 1.0 : DecayFactor(now - previous);
   double current = entry->ewma.load(std::memory_order_relaxed);
   for (;;) {
-    const double next = n == 0 ? seconds
+    const double next = n == 0 ? cost
                                : (1.0 - kAlpha) * (decay * current) +
-                                     kAlpha * seconds;
+                                     kAlpha * cost;
     if (entry->ewma.compare_exchange_weak(current, next,
                                           std::memory_order_acq_rel,
                                           std::memory_order_relaxed)) {
@@ -141,9 +141,10 @@ std::vector<double> CalibrateSourceCosts(
     static_sum += static_costs[i];
     ewma_sum += measured.Ewma(i);
   }
-  // scale converts seconds into static-cost units. A zero ewma_sum (the
-  // workload touched nothing it qualified) leaves scale at 0: the measured
-  // term vanishes and the blend keeps only the shrinking static prior.
+  // scale converts the measured unit into static-cost units. A zero
+  // ewma_sum (the workload touched nothing it qualified) leaves scale at 0:
+  // the measured term vanishes and the blend keeps only the shrinking
+  // static prior.
   const double scale = ewma_sum > 0.0 ? static_sum / ewma_sum : 0.0;
 
   for (SourceId i = 0; i < static_costs.size(); ++i) {

@@ -13,15 +13,17 @@
 namespace imgrn {
 
 /// Measured per-source query cost, maintained as an exponentially weighted
-/// moving average of the wall-clock seconds each query spends on the
-/// source. The sharded query path records one sample per (query, active
-/// source) pair — INCLUDING zero samples for sources the query never
-/// touched — so the EWMA converges to the *expected* seconds a query of
-/// the live mix spends on the source: a source whose genes the workload
-/// never asks about decays toward zero even though its static
-/// genes² × samples estimate is large, and a source the index cannot prune
-/// converges to its true refinement cost. That expectation (not the static
-/// proxy) is the quantity shard balancing should equalize.
+/// moving average of the work each query spends on the source (the
+/// sharded engine feeds SourceCostSample::work, a deterministic count, so
+/// the averages do not move with machine load or speed). The sharded query
+/// path records one sample per (query, active source) pair — INCLUDING
+/// zero samples for sources the query never touched — so the EWMA
+/// converges to the *expected* work a query of the live mix spends on the
+/// source: a source whose genes the workload never asks about decays
+/// toward zero even though its static genes² × samples estimate is large,
+/// and a source the index cannot prune converges to its true refinement
+/// cost. That expectation (not the static proxy) is the quantity shard
+/// balancing should equalize.
 ///
 /// Thread safety: fully lock-free. Record() may be called concurrently
 /// from any number of query threads while Ewma()/Samples() readers (e.g. a
@@ -43,12 +45,12 @@ class MeasuredCostRegistry {
   MeasuredCostRegistry(const MeasuredCostRegistry&) = delete;
   MeasuredCostRegistry& operator=(const MeasuredCostRegistry&) = delete;
 
-  /// Folds one observation (seconds of query wall-clock attributed to
-  /// `source`) into the source's EWMA. The first sample initializes the
+  /// Folds one observation (the query cost attributed to `source`, in the
+  /// caller's unit) into the source's EWMA. The first sample initializes the
   /// average. Lock-free; safe from any thread.
-  void Record(SourceId source, double seconds);
+  void Record(SourceId source, double cost);
 
-  /// Current EWMA for `source` in seconds; 0.0 before any sample. With
+  /// Current EWMA for `source`; 0.0 before any sample. With
   /// decay enabled, the stored average is attenuated by the wall-clock age
   /// of its newest sample before being returned (see SetDecay).
   double Ewma(SourceId source) const;
@@ -129,7 +131,7 @@ struct CostCalibrationOptions {
 ///   calibrated = w * scale * ewma + (1 - w) * static,   w = n / (n + min)
 ///
 /// where `scale` = (sum of static) / (sum of ewma) over the calibrated
-/// sources — it converts measured seconds into the static estimate's
+/// sources — it converts the measured unit into the static estimate's
 /// (arbitrary) cost unit so the two are commensurable, and it makes the
 /// result invariant to the absolute speed of the machine. Sources with
 /// fewer than min_samples samples keep their static estimate unchanged.

@@ -34,9 +34,8 @@ std::string ShardedEngineStatsSnapshot::DebugString() const {
   std::string out;
   for (const ShardStats& shard : shards) {
     char load[96];
-    std::snprintf(load, sizeof(load), "%.3g measured=%.3gs overhead=%.3gs",
-                  shard.cost, shard.measured_seconds,
-                  shard.overhead_seconds);
+    std::snprintf(load, sizeof(load), "%.3g measured=%.3g", shard.cost,
+                  shard.measured_work);
     out += "shard" + std::to_string(shard.shard) +
            ": sources=" + std::to_string(shard.sources) + " load=" + load +
            " sub_queries=" + std::to_string(shard.sub_queries) +
@@ -118,7 +117,6 @@ ShardedEngine::ShardedEngine(ShardedEngineOptions options, ThreadPool* pool)
   IMGRN_CHECK_GE(options_.num_shards, 1u);
   IMGRN_CHECK_GE(options_.num_replicas, 1u);
   measured_.SetDecay(options_.calibration.measured_half_life_seconds);
-  shard_overhead_.SetDecay(options_.calibration.measured_half_life_seconds);
   if (options_.cache.capacity > 0) {
     cache_ = std::make_unique<ResultCache>(options_.cache);
   }
@@ -136,7 +134,10 @@ ShardedEngine::ShardedEngine(ShardedEngineOptions options, ThreadPool* pool)
 }
 
 ShardedEngine::~ShardedEngine() {
-  // Join the daemon's thread before any member it reaches into goes away.
+  // Join the daemon's thread before any member it reaches into goes away,
+  // maintenance_ included: reset() clears the pointer before destroying
+  // the daemon, while a running tick may still read it (StatsSnapshot).
+  if (maintenance_ != nullptr) maintenance_->Stop();
   maintenance_.reset();
 }
 
@@ -214,7 +215,6 @@ void ShardedEngine::LoadDatabase(GeneDatabase database) {
   source_cost_ = EstimateSourceCosts(database);
   retracted_.assign(total, false);
   measured_.Reset();  // A fresh database invalidates every measurement.
-  shard_overhead_.Reset();
   PartitionPlan plan = partitioner_->Partition(source_cost_, num_shards);
   IMGRN_CHECK_OK(plan.Validate(total));
 
@@ -548,7 +548,7 @@ Result<std::vector<QueryMatch>> ShardedEngine::RunShard(
         // top-k before the filter below removes it.
         QueryParams shard_params = params;
         shard_params.top_k = 0;
-        // Every sub-query attributes its wall-clock to the sources it
+        // Every sub-query attributes its work to the sources it
         // touched — that breakdown is what feeds the measured cost model,
         // whether or not the caller asked for it.
         shard_params.collect_source_costs = true;
@@ -559,17 +559,17 @@ Result<std::vector<QueryMatch>> ShardedEngine::RunShard(
         // Feed the measured cost registry: one sample per source this
         // query's partition map assigns to this shard, EXPLICITLY zero for
         // sources the traversal never surfaced — the EWMA must converge to
-        // the expected per-query seconds under the live mix, and a source
+        // the expected per-query work under the live mix, and a source
         // the workload ignores is genuinely cheap. The shared lock both
         // pins local_to_global and excludes RemoveSource's Retire() (which
         // runs after deactivating under every replica's write lock), so no
         // sample lands after a source is retired. Replicas mirror the same
         // active set, so WHICH replica records does not change which
         // globals get samples.
-        std::vector<double> seconds_of(replica.local_to_global.size(), 0.0);
+        std::vector<uint64_t> work_of(replica.local_to_global.size(), 0);
         for (const SourceCostSample& sample : local_stats.source_costs) {
-          IMGRN_CHECK_LT(sample.source, seconds_of.size());
-          seconds_of[sample.source] = sample.seconds;
+          IMGRN_CHECK_LT(sample.source, work_of.size());
+          work_of[sample.source] = sample.work;
         }
         for (size_t i = 0; i < replica.local_to_global.size(); ++i) {
           if (!replica.active[i]) continue;
@@ -578,17 +578,8 @@ Result<std::vector<QueryMatch>> ShardedEngine::RunShard(
               topology.shard_of[global] != shard_index) {
             continue;  // A migrating duplicate; its owner records it.
           }
-          measured_.Record(global, seconds_of[i]);
+          measured_.Record(global, static_cast<double>(work_of[i]));
         }
-        // The sub-query's permutation-cache fill time is shared overhead:
-        // real shard load, but attributable to no single source (which
-        // source pays it is pure layout luck — whoever refines a length
-        // first). It is subtracted from the per-source samples above (see
-        // imgrn_processor.cc) and recorded here against the SHARD, so the
-        // per-source EWMAs stay layout-independent while the shard's
-        // measured total still includes it.
-        shard_overhead_.Record(static_cast<SourceId>(shard_index),
-                               local_stats.permutation_fill_seconds);
         // Remap shard-local ids to global source ids while the reader lock
         // still pins local_to_global, and keep only the sources this
         // query's partition map assigns to this shard — a migrating source
@@ -1012,13 +1003,6 @@ Status ShardedEngine::Resize(size_t new_num_shards) {
   Status migrated =
       MigrateLocked(std::move(target_shards), std::move(plan.shard_of));
   update_generation_.fetch_add(1, std::memory_order_release);
-  if (migrated.ok()) {
-    // Dropped shard indices may be reborn by a future grow; their overhead
-    // EWMAs must not leak into the new shard's measurement.
-    for (size_t s = new_num_shards; s < current->shards.size(); ++s) {
-      shard_overhead_.Retire(static_cast<SourceId>(s));
-    }
-  }
   return migrated;
 }
 
@@ -1495,13 +1479,7 @@ ShardedEngineStatsSnapshot ShardedEngine::StatsSnapshot() const {
     stats.sources = set.primary().active_sources.load(
         std::memory_order_relaxed);
     stats.cost = set.primary().cost.load(std::memory_order_relaxed);
-    // Fold the shard's shared-overhead EWMA (permutation-cache fills) back
-    // into its measured load: the shard really pays it per query, it just
-    // belongs to no single source.
-    stats.overhead_seconds =
-        shard_overhead_.Ewma(static_cast<SourceId>(s));
-    measured[s] += stats.overhead_seconds;
-    stats.measured_seconds = measured[s];
+    stats.measured_work = measured[s];
     stats.breaker = set.primary().breaker.state();
     stats.replicas.reserve(set.size());
     for (size_t r = 0; r < set.size(); ++r) {

@@ -128,14 +128,10 @@ struct ShardStats {
   size_t shard = 0;
   size_t sources = 0;            ///< Active (added minus removed) sources.
   double cost = 0.0;             ///< Estimated load (EstimateSourceCost sum).
-  double measured_seconds = 0.0; ///< Measured load: sum of the per-source
-                                 ///< query-time EWMAs of this shard's live
-                                 ///< sources plus the shard's shared
-                                 ///< overhead EWMA (0 until queries ran).
-  double overhead_seconds = 0.0; ///< The shared-overhead part of
-                                 ///< measured_seconds: per-query work not
-                                 ///< attributable to any one source
-                                 ///< (permutation-cache fills).
+  double measured_work = 0.0;    ///< Measured load: sum of the per-source
+                                 ///< work EWMAs (SourceCostSample::work) of
+                                 ///< this shard's live sources (0 until
+                                 ///< queries ran).
   uint64_t sub_queries = 0;      ///< Finished per-shard sub-queries.
   uint64_t sub_query_errors = 0; ///< Of those, non-OK (incl. cancelled).
   uint64_t in_flight = 0;        ///< Sub-queries running right now.
@@ -156,7 +152,7 @@ struct ShardedEngineStatsSnapshot {
   double imbalance = 1.0;
 
   /// The same max/mean ratio over the MEASURED per-shard load
-  /// (ShardStats::measured_seconds). 1.0 while the registry is cold; once
+  /// (ShardStats::measured_work). 1.0 while the registry is cold; once
   /// traffic has touched the database this is the imbalance queries
   /// actually experience, which can disagree with the estimate in either
   /// direction (e.g. a giant source the index prunes perfectly inflates
@@ -171,7 +167,7 @@ struct ShardedEngineStatsSnapshot {
   MaintenanceStats maintenance;
 
   /// One line per shard, e.g. "shard0: sources=3 load=1.2e5
-  /// measured=2.1e-3s sub_queries=17 errors=0 in_flight=0", with a
+  /// measured=3.8e4 sub_queries=17 errors=0 in_flight=0", with a
   /// per-replica breakdown when replicated, then an "imbalance=" summary
   /// line reporting both ratios and a "cache:" line when one exists.
   std::string DebugString() const;
@@ -393,7 +389,7 @@ class ShardedEngine : public QueryEngine {
   /// source id.
   std::vector<double> CalibratedSourceCosts() const;
 
-  /// The live measured-cost registry (read-only): per-source query-time
+  /// The live measured-cost registry (read-only): per-source query-work
   /// EWMAs and sample counts, written lock-free by every sub-query.
   const MeasuredCostRegistry& measured_costs() const { return measured_; }
 
@@ -594,22 +590,14 @@ class ShardedEngine : public QueryEngine {
 
   /// Measured per-source query cost, fed by RunShard on every sub-query
   /// (one sample per live source of the shard, zero for untouched ones, so
-  /// the EWMA tracks the expected per-query seconds under the live mix).
+  /// the EWMA tracks the expected per-query work under the live mix).
   /// Lock-free; mutable because recording happens on the const query path.
   mutable MeasuredCostRegistry measured_;
 
-  /// Per-SHARD (not per-source) shared overhead EWMA, keyed by shard
-  /// index: the permutation-cache fill seconds of each sub-query. Kept out
-  /// of measured_ so layout cannot bias the per-source EWMAs — the shard
-  /// that happens to refine a length first would otherwise eat the fill
-  /// cost in whichever source ran first. Folded back into
-  /// ShardStats::measured_seconds (the whole shard really did pay it).
-  mutable MeasuredCostRegistry shard_overhead_;
-
   /// Declared LAST: the daemon's thread calls back into everything above,
   /// so it must be destroyed (joined) first. Null unless
-  /// options_.maintenance.enabled. The explicit destructor resets it
-  /// before anything else regardless.
+  /// options_.maintenance.enabled. The explicit destructor stops and
+  /// resets it before anything else regardless.
   std::unique_ptr<MaintenanceDaemon> maintenance_;
 };
 

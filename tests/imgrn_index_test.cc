@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/random.h"
 #include "tests/test_util.h"
 
@@ -147,25 +149,29 @@ TEST(ImGrnIndexTest, InvertedFileUnknownGeneIsZero) {
   }
 }
 
-TEST(ImGrnIndexTest, PointFromLeafEntryRoundTrips) {
+TEST(ImGrnIndexTest, LeafEntryMbrMatchesStoredEmbedding) {
   GeneDatabase database = MakeDatabase(3, 8);
   ImGrnIndex index(SmallOptions());
   ASSERT_TRUE(index.Build(&database).ok());
-  // Walk to any leaf and compare the reconstructed point against the
-  // stored embedding.
+  // Walk to any leaf: each entry is a point MBR laid out as
+  // (x[0], y[0], ..., x[d-1], y[d-1], gene), equal to the stored embedding
+  // of its record.
   const RTree& rtree = index.rtree();
   NodeId node_id = rtree.root_id();
   while (!(*rtree.node(node_id))->IsLeaf()) {
     node_id = static_cast<NodeId>((*rtree.node(node_id))->entries[0].handle);
   }
   for (const RTreeEntry& entry : (*rtree.node(node_id))->entries) {
-    const RecordRef ref = DecodeRecordRef(entry.handle);
-    const EmbeddedPoint reconstructed = index.PointFromLeafEntry(entry);
-    const EmbeddedPoint& stored = index.embedded_point(ref);
-    EXPECT_EQ(reconstructed.gene, stored.gene);
+    const EmbeddedPoint& stored =
+        index.embedded_point(DecodeRecordRef(entry.handle));
+    ASSERT_EQ(entry.mbr.dims(), 5u);
     for (size_t w = 0; w < 2; ++w) {
-      EXPECT_NEAR(reconstructed.x[w], stored.x[w], 1e-12);
-      EXPECT_NEAR(reconstructed.y[w], stored.y[w], 1e-12);
+      EXPECT_EQ(entry.mbr.lo(2 * w), stored.x[w]);
+      EXPECT_EQ(entry.mbr.lo(2 * w + 1), stored.y[w]);
+    }
+    EXPECT_EQ(static_cast<GeneId>(entry.mbr.lo(4)), stored.gene);
+    for (size_t i = 0; i < entry.mbr.dims(); ++i) {
+      EXPECT_EQ(entry.mbr.lo(i), entry.mbr.hi(i));
     }
   }
 }
@@ -234,6 +240,85 @@ TEST(ImGrnIndexTest, ParallelBuildBitIdenticalToSerial) {
       EXPECT_EQ(points_a[s].gene, points_b[s].gene);
     }
   }
+}
+
+// Flattens a tree depth-first into (level, handle, MBR, payload) records,
+// so two trees compare node for node.
+struct FlatEntry {
+  int level = 0;
+  uint64_t handle = 0;
+  std::vector<double> lo, hi;
+  std::vector<uint8_t> payload;
+  bool operator==(const FlatEntry&) const = default;
+};
+
+void FlattenTree(const RTree& rtree, NodeId id, std::vector<FlatEntry>* out) {
+  Result<const RTreeNode*> fetched = rtree.node(id);
+  ASSERT_TRUE(fetched.ok());
+  const RTreeNode& node = **fetched;
+  for (const RTreeEntry& entry : node.entries) {
+    FlatEntry flat{node.level, entry.handle, {}, {}, entry.payload};
+    for (size_t i = 0; i < entry.mbr.dims(); ++i) {
+      flat.lo.push_back(entry.mbr.lo(i));
+      flat.hi.push_back(entry.mbr.hi(i));
+    }
+    out->push_back(std::move(flat));
+    if (!node.IsLeaf()) {
+      FlattenTree(rtree, static_cast<NodeId>(entry.handle), out);
+    }
+  }
+}
+
+// A parallel build large enough that its workers meet sample lengths the
+// shared embed cache has to serve concurrently: 16 matrices over 5
+// distinct sample counts, 4 threads. The build must not race on the cache
+// (tools/ci_sanitize.sh runs this binary under ThreadSanitizer) and must
+// produce embeddings and a tree bit-identical to a serial build.
+TEST(ImGrnIndexTest, ParallelBuildOverManyLengthsMatchesSerialBuild) {
+  auto make_database = [] {
+    Rng rng(41);
+    GeneDatabase database;
+    for (SourceId i = 0; i < 16; ++i) {
+      std::vector<GeneId> singletons = {static_cast<GeneId>(200 + 3 * i),
+                                        static_cast<GeneId>(201 + 3 * i),
+                                        static_cast<GeneId>(202 + 3 * i)};
+      database.Add(MakePlantedMatrix(i, 20 + 3 * (i % 5), {{1, 2, 3}},
+                                     singletons, 0.9, &rng));
+    }
+    return database;
+  };
+  GeneDatabase database_serial = make_database();
+  GeneDatabase database_parallel = make_database();
+  ImGrnIndexOptions serial_options = SmallOptions();
+  serial_options.build_threads = 1;
+  ImGrnIndexOptions parallel_options = SmallOptions();
+  parallel_options.build_threads = 4;
+  ImGrnIndex serial(serial_options);
+  ImGrnIndex parallel(parallel_options);
+  ASSERT_TRUE(serial.Build(&database_serial).ok());
+  ASSERT_TRUE(parallel.Build(&database_parallel).ok());
+
+  for (SourceId i = 0; i < 16; ++i) {
+    EXPECT_EQ(serial.pivots(i).columns, parallel.pivots(i).columns)
+        << "source " << i;
+    const auto& points_a = serial.embedded_points(i);
+    const auto& points_b = parallel.embedded_points(i);
+    ASSERT_EQ(points_a.size(), points_b.size());
+    for (size_t s = 0; s < points_a.size(); ++s) {
+      EXPECT_EQ(points_a[s].x, points_b[s].x) << "source " << i;
+      EXPECT_EQ(points_a[s].y, points_b[s].y) << "source " << i;
+      EXPECT_EQ(points_a[s].gene, points_b[s].gene);
+    }
+  }
+  std::vector<FlatEntry> tree_serial;
+  std::vector<FlatEntry> tree_parallel;
+  FlattenTree(serial.rtree(), serial.rtree().root_id(), &tree_serial);
+  FlattenTree(parallel.rtree(), parallel.rtree().root_id(), &tree_parallel);
+  const size_t leaf_entries = static_cast<size_t>(std::count_if(
+      tree_serial.begin(), tree_serial.end(),
+      [](const FlatEntry& entry) { return entry.level == 0; }));
+  EXPECT_EQ(leaf_entries, database_serial.TotalGeneVectors());
+  EXPECT_TRUE(tree_serial == tree_parallel);
 }
 
 TEST(ImGrnIndexTest, BulkLoadedIndexAnswersLikeInserted) {

@@ -406,15 +406,14 @@ TEST_F(MaintenanceTest, SwapRebalanceUnsticksTwoShardStall) {
   ExpectIdenticalMatches(*swapped_answers, *stalled_answers, "post-swap");
 }
 
-// --- Satellite 1: layout-independent measured costs ---------------------
+// --- Layout-independent measured costs ---------------------------------
 
 // Two statistically identical twin sources sharing one sample length.
-// Co-located, the permutation-cache fill used to be booked entirely to
-// whichever twin refined first, so its EWMA read ~2x its peer's — and
-// separating them changed both readings (layout-dependent cost model).
-// With fills routed to the per-shard overhead bucket, the twins' EWMAs
-// must agree in BOTH layouts, and the overhead bucket must carry the
-// fill.
+// Co-located, they share one per-query permutation cache, whose fill is
+// paid by whichever twin refines first; apart, each shard fills its own.
+// The measured cost model counts deterministic work, which no cache fill
+// or shard placement enters, so each twin's EWMA must read exactly the
+// same in BOTH layouts.
 TEST(MaintenanceEwmaTest, PermutationFillDoesNotSkewPerSourceCosts) {
   constexpr size_t kTwinSamples = 48;
   ClusterDatabaseConfig twin_config = {.seed_base = 9500,
@@ -424,8 +423,8 @@ TEST(MaintenanceEwmaTest, PermutationFillDoesNotSkewPerSourceCosts) {
                                        .filler_base = 80,
                                        .num_fillers = 1};
   QueryParams params = DefaultClusterParams();
-  // Fill work scales with refine_num_samples x length: make it the
-  // dominant per-query term so the old misattribution would be glaring.
+  // A large fill per query: under wall-clock samples this made the
+  // first-refined twin read several times its peer.
   params.refine_num_samples = 4096;
   const GeneMatrix query = MakeClusterQueryMatrix(9501);
 
@@ -444,33 +443,14 @@ TEST(MaintenanceEwmaTest, PermutationFillDoesNotSkewPerSourceCosts) {
   auto together = run_layout({0, 0});  // Twins share shard 0's cache.
   auto apart = run_layout({0, 1});     // Each twin fills its own cache.
 
-  const double together0 = together->measured_costs().Ewma(0);
-  const double together1 = together->measured_costs().Ewma(1);
-  const double apart0 = apart->measured_costs().Ewma(0);
-  const double apart1 = apart->measured_costs().Ewma(1);
-  ASSERT_GT(together0, 0.0);
-  ASSERT_GT(together1, 0.0);
-  ASSERT_GT(apart0, 0.0);
-  ASSERT_GT(apart1, 0.0);
+  for (SourceId twin : {0u, 1u}) {
+    const double together_cost = together->measured_costs().Ewma(twin);
+    ASSERT_GT(together_cost, 0.0) << "twin " << twin;
+    EXPECT_EQ(together_cost, apart->measured_costs().Ewma(twin))
+        << "twin " << twin;
+  }
 
-  // Twin symmetry within each layout. Pre-fix, the first-refined twin of
-  // the shared shard carried the whole fill and read far above its peer;
-  // wall-clock noise keeps this bound generous.
-  const double together_skew = std::max(together0, together1) /
-                               std::min(together0, together1);
-  const double apart_skew = std::max(apart0, apart1) /
-                            std::min(apart0, apart1);
-  // Empirically the per-twin cost is ~0.2ms and the per-shard fill ~1ms
-  // per query, so the pre-fix misattribution read as a ~6x skew; honest
-  // scheduling noise stays under ~1.5x. 2.5 splits the two with margin
-  // on both sides.
-  EXPECT_LT(together_skew, 2.5)
-      << "ewma(0)=" << together0 << " ewma(1)=" << together1;
-  EXPECT_LT(apart_skew, 2.5) << "ewma(0)=" << apart0 << " ewma(1)=" << apart1;
-
-  // The fill went somewhere: the co-located shard's overhead bucket.
-  const ShardedEngineStatsSnapshot snapshot = together->StatsSnapshot();
-  EXPECT_GT(snapshot.shards[0].overhead_seconds, 0.0);
+  // The fill itself is still reported, per query.
   QueryStats stats;
   Result<std::vector<QueryMatch>> got = together->Query(query, params, &stats);
   ASSERT_TRUE(got.ok());

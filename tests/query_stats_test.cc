@@ -70,6 +70,24 @@ TEST_F(QueryStatsTest, TraversalCountersConsistent) {
             stats.traversal_seconds + stats.refinement_seconds - 1e-9);
 }
 
+// The traversal tests each child's one-sided checks once per node pair,
+// yet its counters keep their per-pair meaning. These are the values that
+// testing every child pair produces for this fixture and query.
+TEST_F(QueryStatsTest, TraversalCountersPinned) {
+  QueryParams params;
+  params.gamma = 0.5;
+  params.alpha = 0.3;
+  QueryStats stats;
+  ASSERT_TRUE(processor_
+                  ->QueryWithGraph(MakePathQuery({1, 2, 3}), params, &stats)
+                  .ok());
+  EXPECT_EQ(stats.node_pairs_examined, 58u);
+  EXPECT_EQ(stats.node_pairs_pruned_signature, 12u);
+  EXPECT_EQ(stats.node_pairs_pruned_index, 0u);
+  EXPECT_EQ(stats.leaf_pairs_examined, 20u);
+  EXPECT_EQ(stats.candidate_pairs, 20u);
+}
+
 TEST_F(QueryStatsTest, ColdVsWarmCacheIoDiffers) {
   QueryParams params;
   params.gamma = 0.5;

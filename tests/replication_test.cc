@@ -42,7 +42,8 @@ constexpr ClusterDatabaseConfig kConfig = {.seed_base = 3100};
 // The replication contract on QueryStats: every counter is bit-identical
 // across serving topologies. cache_hit and replica_failovers are asserted
 // separately by each test (they are the two fields topology MAY change),
-// the four *_seconds fields and source_costs hold wall-clock, and
+// the *_seconds fields hold wall-clock, source_costs is filled only on
+// request, and
 // page_accesses (physical buffer-pool misses) additionally depends on
 // which replica's pool served the PREVIOUS queries — so the first query
 // of a fresh engine compares it (every pool cold, cursor at replica 0)

@@ -4,10 +4,11 @@
 # Configures a dedicated build tree with -DIMGRN_SANITIZE=<kind>, builds
 # the thread-heavy test binaries, and runs everything carrying the ctest
 # labels in $LABELS: "concurrency" (thread pool, query service, sharded
-# engine, shard stress, lock-free histogram) and "partitioning" (the
-# differential partition-invariance suite, whose Rebalance/Resize paths
-# migrate data while queries run, plus the lock-free measured-cost
-# registry the query path writes concurrently — exactly the races a
+# engine, shard stress, lock-free histogram, parallel index build) and
+# "partitioning" (the differential partition-invariance suite, whose
+# Rebalance/Resize paths migrate data while queries run, plus the
+# lock-free measured-cost registry the query path writes concurrently —
+# exactly the races a
 # sanitizer should see) and "robustness" (fault injection, circuit
 # breaker, degraded queries, and fault-killed migrations: the
 # rollback/roll-forward paths normal traffic never reaches, where leaks
@@ -78,7 +79,8 @@ cmake -B "$BUILD_DIR" -S "$SRC_DIR" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DIMGRN_SANITIZE="$KIND"
 TARGETS="thread_pool_test query_service_test sharded_engine_test \
-         shard_stress_test histogram_test partition_invariance_test \
+         shard_stress_test histogram_test imgrn_index_test \
+         partition_invariance_test \
          cost_model_test fault_injection_test replication_test \
          result_cache_test maintenance_test"
 if [ "$KIND" = address ]; then

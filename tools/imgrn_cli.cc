@@ -499,9 +499,9 @@ int CmdRebalance(int argc, char** argv) {
   auto print_loads = [&engine](const char* tag) {
     const ShardedEngineStatsSnapshot snapshot = engine.StatsSnapshot();
     for (const ShardStats& shard : snapshot.shards) {
-      std::printf("%s shard%zu: sources=%zu load=%.3g measured=%.3gs\n", tag,
+      std::printf("%s shard%zu: sources=%zu load=%.3g measured=%.3g\n", tag,
                   shard.shard, shard.sources, shard.cost,
-                  shard.measured_seconds);
+                  shard.measured_work);
     }
     std::printf("%s imbalance=%.3f measured_imbalance=%.3f "
                 "(max/mean shard load)\n",
