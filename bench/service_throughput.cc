@@ -6,10 +6,9 @@
 // one JSON line per (threads, shards) setting so the serving trajectory
 // can be tracked across PRs, e.g.:
 //
-//   {"bench":"service_throughput","threads":4,"shards":2,"replicas":1,
-//    "queries":96,"qps":812.4,"qps_per_replica":812.4,"p50_ms":3.1,
-//    "p95_ms":7.9,"speedup_vs_1":3.2,"partition":"balanced",
-//    "imbalance":1.04}
+//   {"bench":"service_throughput","threads":4,"shards":2,"queries":96,
+//    "failed":0,"qps":812.4,"p50_ms":3.1,"p95_ms":7.9,"speedup_vs_1":3.2,
+//    "partition":"balanced","imbalance":1.04}
 //
 // "imbalance" is max/mean estimated shard load (1.0 = perfect balance);
 // the fan-out latency of a sharded request is bounded by its hottest
@@ -29,17 +28,15 @@
 // (e.g. BENCH_service_throughput.json) so the perf trajectory is recorded
 // across PRs.
 //
-// --replicas=R > 1 mirrors every shard R times with round-robin routing
-// (read scaling; only meaningful on the sharded path) and --cache=C > 0
-// enables the generation-keyed query-result cache with capacity C. The
-// workload replays the same query set --rounds times, so with a cache
-// every round after the first hits; sharded JSON lines then carry
-// "replicas", "qps_per_replica" and the observed "cache_hit_rate".
+// --cache=C > 0 enables the generation-keyed query-result cache with
+// capacity C (sharded path only). The workload replays the same query set
+// --rounds times, so with a cache every round after the first hits;
+// sharded JSON lines then carry the observed "cache_hit_rate".
 //
 // --maintenance=1 runs the self-healing maintenance daemon
 // (service/maintenance.h) in the background during every sharded pass —
 // the scrubber seal-verifies --scrub-pages pages per tick while the
-// workload hammers the same replicas — and the JSON line gains
+// workload hammers the same shards — and the JSON line gains
 // "scrub_pages_per_sec", "pages_scrubbed", "pages_reclaimed" and
 // "rebalance_fires", quantifying the scrub throughput the serving path
 // sustains alongside queries.
@@ -84,8 +81,6 @@ int Main(int argc, char** argv) {
                {"rounds", "4 | times the query set is replayed per setting"},
                {"threads", "1,2,4,8 | comma-separated worker counts"},
                {"shards", "1 | comma-separated shard counts (1 = unsharded)"},
-               {"replicas",
-                "1 | replicas per shard (read scaling; sharded path only)"},
                {"cache",
                 "0 | query-result cache capacity (0 = disabled)"},
                {"partition",
@@ -125,12 +120,6 @@ int Main(int argc, char** argv) {
   if (shard_counts.empty()) {
     std::fprintf(stderr, "no valid shard counts in --shards=%s\n",
                  flags.GetString("shards").c_str());
-    return 1;
-  }
-  const size_t num_replicas =
-      static_cast<size_t>(flags.GetInt("replicas"));
-  if (num_replicas < 1) {
-    std::fprintf(stderr, "--replicas must be >= 1\n");
     return 1;
   }
   const size_t cache_capacity = static_cast<size_t>(flags.GetInt("cache"));
@@ -181,7 +170,6 @@ int Main(int argc, char** argv) {
                   " queries=" + std::to_string(num_queries) +
                   " rounds=" + std::to_string(rounds) + " partition=" +
                   partition + " zipf=" + flags.GetString("zipf") +
-                  " replicas=" + std::to_string(num_replicas) +
                   " cache=" + std::to_string(cache_capacity));
 
   GeneDatabase database = make_database();
@@ -219,8 +207,8 @@ int Main(int argc, char** argv) {
   // counters only exist then).
   double qps_at_1 = 0.0;
   auto run_setting = [&](QueryService& service, size_t num_threads,
-                         size_t num_shards, size_t replicas,
-                         double imbalance, const ShardedEngine* sharded,
+                         size_t num_shards, double imbalance,
+                         const ShardedEngine* sharded,
                          const std::function<std::string()>& extra_fn =
                              nullptr) {
     // One warmup pass (buffer pools, first-touch) outside the clock.
@@ -258,12 +246,10 @@ int Main(int argc, char** argv) {
     std::snprintf(
         line, sizeof(line),
         "{\"bench\":\"service_throughput\",\"threads\":%zu,\"shards\":%zu,"
-        "\"replicas\":%zu,\"queries\":%zu,\"failed\":%zu,\"qps\":%.1f,"
-        "\"qps_per_replica\":%.1f,"
+        "\"queries\":%zu,\"failed\":%zu,\"qps\":%.1f,"
         "\"p50_ms\":%.3f,\"p95_ms\":%.3f,\"speedup_vs_1\":%.2f,"
         "\"partition\":\"%s\",\"imbalance\":%.3f%s%s}\n",
-        num_threads, num_shards, replicas, total, failed, qps,
-        qps / static_cast<double>(replicas), snapshot.latency_p50_ms,
+        num_threads, num_shards, total, failed, qps, snapshot.latency_p50_ms,
         snapshot.latency_p95_ms, qps_at_1 > 0 ? qps / qps_at_1 : 0.0,
         num_shards > 1 ? partition.c_str() : "none", imbalance,
         cache_field, extra.c_str());
@@ -284,7 +270,7 @@ int Main(int argc, char** argv) {
         // The unsharded baseline: one engine, one buffer pool, whole-index
         // write lock.
         QueryService service(&engine, options);
-        run_setting(service, num_threads, 1, 1, 1.0, nullptr);
+        run_setting(service, num_threads, 1, 1.0, nullptr);
         continue;
       }
       // One pool shared by the service (request parallelism) and the
@@ -294,7 +280,6 @@ int Main(int argc, char** argv) {
       ThreadPool pool(num_threads);
       ShardedEngineOptions sharded_options;
       sharded_options.num_shards = num_shards;
-      sharded_options.num_replicas = num_replicas;
       sharded_options.cache.capacity = cache_capacity;
       sharded_options.partitioner = partitioner;
       if (run_maintenance) {
@@ -335,7 +320,7 @@ int Main(int argc, char** argv) {
           return std::string(buf);
         };
       }
-      run_setting(service, num_threads, num_shards, num_replicas,
+      run_setting(service, num_threads, num_shards,
                   sharded.StatsSnapshot().imbalance, &sharded,
                   maintenance_extra);
       if (calibrate) {
@@ -356,8 +341,7 @@ int Main(int argc, char** argv) {
                       ",\"calibrated\":1,\"moved_sources\":%zu,"
                       "\"measured_imbalance\":%.3f",
                       moved, after.measured_imbalance);
-        run_setting(service, num_threads, num_shards, num_replicas,
-                    after.imbalance, &sharded,
+        run_setting(service, num_threads, num_shards, after.imbalance, &sharded,
                     [text = std::string(extra)] { return text; });
       }
     }

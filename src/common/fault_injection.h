@@ -34,18 +34,13 @@ inline constexpr char kDiskWrite[] = "disk.write";
 /// can simulate a crash at each fsync point individually.
 inline constexpr char kDiskSync[] = "disk.sync";
 /// One per-shard sub-query of a ShardedEngine fan-out. `detail` = shard.
-/// Fires on whichever replica serves the sub-query, so a persistent rule
-/// here models the whole shard (every replica) being down.
+/// A persistent rule here models the shard being down; its breaker
+/// eventually quarantines it.
 inline constexpr char kShardSubQuery[] = "shard.subquery";
-/// The same sub-query, keyed to the individual replica that serves it:
-/// `detail` = shard * kReplicaDetailStride + replica. A persistent rule
-/// here models ONE replica being sick; the round-robin router fails over
-/// to its peers and the replica's breaker eventually quarantines it.
-inline constexpr char kReplicaSubQuery[] = "shard.replica";
-inline constexpr int64_t kReplicaDetailStride = 1000;
 /// The four steps of the migration protocol (Rebalance/Resize). `detail`
 /// is the moving global source id for copy/delete, the shard-count for
-/// publish/drain.
+/// publish/drain. RebuildShard's copy phase evaluates the copy site once
+/// per source it copies.
 inline constexpr char kMigrateCopy[] = "migrate.copy";
 inline constexpr char kMigratePublish[] = "migrate.publish";
 inline constexpr char kMigrateDrain[] = "migrate.drain";

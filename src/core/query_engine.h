@@ -57,9 +57,9 @@ class QueryEngine {
   /// matches AND stats — bit-identical to what a fresh evaluation against
   /// the engine's CURRENT source set would return (i.e. any AddSource/
   /// RemoveSource invalidates affected entries before it returns).
-  /// stats->cache_hit and stats->replica_failovers are the only fields
-  /// whose values may depend on serving topology rather than the query
-  /// itself; differential tests mask exactly these.
+  /// stats->cache_hit is the only field whose value may depend on serving
+  /// state rather than the query itself; differential tests mask exactly
+  /// it.
   virtual Result<std::vector<QueryMatch>> Query(
       const GeneMatrix& query_matrix, const QueryParams& params,
       QueryStats* stats = nullptr,

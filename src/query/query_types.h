@@ -150,15 +150,9 @@ struct QueryStats {
   /// True when the answer (matches AND the counters above) was served from
   /// the ShardedEngine's result cache instead of a fresh fan-out. By the
   /// engine's determinism a hit is bit-identical to the evaluation it
-  /// stands in for, so this flag (plus replica_failovers) is the only
-  /// stats field a cache may legitimately change — the differential suite
-  /// masks exactly these.
+  /// stands in for, so this flag is the only stats field a cache may
+  /// legitimately change — the differential suites mask exactly it.
   bool cache_hit = false;
-
-  /// Replicas the round-robin router skipped past (quarantined breaker)
-  /// or abandoned after a failure, summed across all shards' sub-queries.
-  /// 0 when every shard's first-choice replica answered.
-  uint64_t replica_failovers = 0;
 };
 
 }  // namespace imgrn

@@ -34,7 +34,9 @@ struct CircuitBreakerOptions {
 /// max_attempts retries (and their backoff sleeps) out of EVERY query's
 /// latency budget. Once the breaker opens, queries skip the sick shard
 /// instantly (degrading per QueryParams::allow_partial) and only the
-/// occasional probe pays for discovering recovery.
+/// occasional probe pays for discovering recovery. A shard whose store
+/// the maintenance scrubber proves corrupt is Trip()ped open at once;
+/// ShardedEngine::RebuildShard then replaces the shard, breaker included.
 ///
 /// Callers drive it with one AllowRequest() per attempt and exactly one
 /// Record*() per allowed attempt:
@@ -61,9 +63,7 @@ class CircuitBreaker {
   enum class State { kClosed, kOpen, kHalfOpen };
 
   /// RAII verdict scope for one admitted attempt. Construct it immediately
-  /// after the attempt is admitted (AllowRequest() true, or a routing
-  /// layer like ReplicaSet::PickReplica admitted on the caller's behalf);
-  /// deliver the verdict through it; if the scope unwinds with no verdict
+  /// after AllowRequest() returned true; deliver the verdict through it; if the scope unwinds with no verdict
   /// — early return, exception, teardown — the destructor records the
   /// attempt as abandoned (RecordNeutral), releasing any half-open probe
   /// slot the attempt held so the NEXT probe is admitted.
@@ -112,7 +112,7 @@ class CircuitBreaker {
   /// Forces the breaker open for a fresh cooldown, regardless of state —
   /// the quarantine entry point for verdicts that arrive OUTSIDE the
   /// AllowRequest/Record cycle (the maintenance scrubber finding a corrupt
-  /// page indicts the replica definitively; no failure streak needed).
+  /// page indicts the shard definitively; no failure streak needed).
   /// Releases any half-open probe slot so the post-cooldown probe is not
   /// blocked by an attempt that predates the trip.
   void Trip();

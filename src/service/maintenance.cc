@@ -74,13 +74,12 @@ void MaintenanceDaemon::ScrubTick() {
                              std::memory_order_relaxed);
   if (report.corrupt) {
     corrupt_pages_.fetch_add(1, std::memory_order_relaxed);
-    // Quarantine first so queries route around the sick replica while the
-    // rebuild copies from a healthy peer.
-    engine_->QuarantineReplica(report.corrupt_shard, report.corrupt_replica);
-    Status rebuilt =
-        engine_->RebuildReplica(report.corrupt_shard, report.corrupt_replica);
+    // Quarantine first so no query reads the corrupt store while the
+    // rebuild copies the shard's sources into a fresh one.
+    engine_->QuarantineShard(report.corrupt_shard);
+    Status rebuilt = engine_->RebuildShard(report.corrupt_shard);
     if (rebuilt.ok()) {
-      replicas_rebuilt_.fetch_add(1, std::memory_order_relaxed);
+      shards_rebuilt_.fetch_add(1, std::memory_order_relaxed);
     } else {
       rebuild_failures_.fetch_add(1, std::memory_order_relaxed);
     }
@@ -114,7 +113,7 @@ MaintenanceStats MaintenanceDaemon::Stats() const {
   stats.ticks = ticks_.load(std::memory_order_relaxed);
   stats.pages_scrubbed = pages_scrubbed_.load(std::memory_order_relaxed);
   stats.corrupt_pages = corrupt_pages_.load(std::memory_order_relaxed);
-  stats.replicas_rebuilt = replicas_rebuilt_.load(std::memory_order_relaxed);
+  stats.shards_rebuilt = shards_rebuilt_.load(std::memory_order_relaxed);
   stats.rebuild_failures = rebuild_failures_.load(std::memory_order_relaxed);
   stats.pages_reclaimed = pages_reclaimed_.load(std::memory_order_relaxed);
   stats.slots_truncated = slots_truncated_.load(std::memory_order_relaxed);

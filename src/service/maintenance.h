@@ -20,15 +20,16 @@ class ShardedEngine;
 /// three background jobs so the cluster repairs itself before queries get
 /// hurt:
 ///
-///  1. Checksum scrubber — walks the cold pages of every shard/replica
-///     backing store at a bounded rate (`scrub_pages_per_tick`), verifying
-///     each page's CRC32C seal via the same read path queries use. A page
-///     that fails with kDataLoss quarantines its replica (breaker forced
-///     open, so queries route around it immediately) and re-synthesizes it
-///     from a healthy peer over the copy -> publish -> drain protocol.
-///     While a replica's store scrubs clean end-to-end, pages stranded by
-///     shadow-paging index rebuilds are reclaimed and the file truncated
-///     (`reclaim_storage`).
+///  1. Checksum scrubber — walks the cold pages of every shard's backing
+///     store at a bounded rate (`scrub_pages_per_tick`), verifying each
+///     page's CRC32C seal via the same read path queries use. A page that
+///     fails with kDataLoss quarantines its shard (breaker forced open:
+///     strict queries on it get kUnavailable, allow_partial queries
+///     degrade) and rebuilds the shard from its own memory-resident
+///     sources over the copy -> publish -> drain protocol
+///     (ShardedEngine::RebuildShard). While a shard's store scrubs clean
+///     end-to-end, pages stranded by shadow-paging index rebuilds are
+///     reclaimed and the file truncated (`reclaim_storage`).
 ///
 ///  2. Auto-rebalance — watches `StatsSnapshot().measured_imbalance` and
 ///     fires Rebalance when it crosses `rebalance_high`. Hysteresis: after
@@ -54,14 +55,14 @@ struct MaintenanceOptions {
   int64_t tick_interval_micros = 100000;
 
   /// Scrub-rate bound: at most this many live pages are seal-verified per
-  /// tick, across all shards and replicas (the cursor resumes where the
+  /// tick, across all shards (the cursor resumes where the
   /// previous tick stopped). This is the knob that keeps the scrubber's
   /// I/O a background hum instead of a query-latency spike.
   size_t scrub_pages_per_tick = 64;
 
-  /// When true, a replica whose store just scrubbed clean end-to-end also
+  /// When true, a shard whose store just scrubbed clean end-to-end also
   /// gets its stranded pages reclaimed (ImGrnEngine::ReclaimStorage) under
-  /// an exclusive replica lock.
+  /// an exclusive shard lock.
   bool reclaim_storage = true;
 
   /// Rebalance fires when measured_imbalance >= rebalance_high (and the
@@ -88,25 +89,23 @@ struct MaintenanceOptions {
   std::function<void(const struct MaintenanceStats&)> on_tick;
 };
 
-/// Resumable position of the scrubber: which replica's store it is in and
+/// Resumable position of the scrubber: which shard's store it is in and
 /// the next page id to verify there. Owned by the daemon; exposed so tests
 /// can drive ShardedEngine::ScrubStep directly.
 struct ScrubCursor {
   size_t shard = 0;
-  size_t replica = 0;
   size_t page = 0;
 };
 
 /// What one ScrubStep call did. `corrupt` flags a kDataLoss seal failure;
-/// `corrupt_shard`/`corrupt_replica` then name the replica that needs
-/// quarantine + rebuild (the cursor has already been advanced past it).
+/// `corrupt_shard` then names the shard that needs quarantine + rebuild
+/// (the cursor has already been advanced past it).
 struct ScrubReport {
   size_t pages_scrubbed = 0;
   size_t pages_reclaimed = 0;
   size_t slots_truncated = 0;
   bool corrupt = false;
   size_t corrupt_shard = 0;
-  size_t corrupt_replica = 0;
 };
 
 /// Cumulative maintenance counters; a section of the engine's
@@ -116,7 +115,7 @@ struct MaintenanceStats {
   uint64_t ticks = 0;
   uint64_t pages_scrubbed = 0;
   uint64_t corrupt_pages = 0;
-  uint64_t replicas_rebuilt = 0;
+  uint64_t shards_rebuilt = 0;
   uint64_t rebuild_failures = 0;
   uint64_t pages_reclaimed = 0;
   uint64_t slots_truncated = 0;
@@ -176,7 +175,7 @@ class MaintenanceDaemon {
   std::atomic<uint64_t> ticks_{0};
   std::atomic<uint64_t> pages_scrubbed_{0};
   std::atomic<uint64_t> corrupt_pages_{0};
-  std::atomic<uint64_t> replicas_rebuilt_{0};
+  std::atomic<uint64_t> shards_rebuilt_{0};
   std::atomic<uint64_t> rebuild_failures_{0};
   std::atomic<uint64_t> pages_reclaimed_{0};
   std::atomic<uint64_t> slots_truncated_{0};

@@ -46,20 +46,6 @@ std::string ShardedEngineStatsSnapshot::DebugString() const {
       out += "(" + std::to_string(shard.breaker_rejections) + " rejected)";
     }
     out += "\n";
-    if (shard.replicas.size() > 1) {
-      for (const ReplicaStats& replica : shard.replicas) {
-        out += "  replica" + std::to_string(replica.replica) +
-               ": sub_queries=" + std::to_string(replica.sub_queries) +
-               " errors=" + std::to_string(replica.sub_query_errors) +
-               " in_flight=" + std::to_string(replica.in_flight) +
-               " breaker=" + CircuitBreaker::StateName(replica.breaker);
-        if (replica.breaker_rejections > 0) {
-          out += "(" + std::to_string(replica.breaker_rejections) +
-                 " rejected)";
-        }
-        out += "\n";
-      }
-    }
   }
   char line[96];
   std::snprintf(line, sizeof(line),
@@ -83,7 +69,7 @@ std::string ShardedEngineStatsSnapshot::DebugString() const {
                   " corrupt=%" PRIu64 " rebuilt=%" PRIu64 " (failures=%" PRIu64
                   ") scrub_errors=%" PRIu64 "\n",
                   maintenance.ticks, maintenance.pages_scrubbed,
-                  maintenance.corrupt_pages, maintenance.replicas_rebuilt,
+                  maintenance.corrupt_pages, maintenance.shards_rebuilt,
                   maintenance.rebuild_failures, maintenance.scrub_errors);
     out += line1;
     char line2[224];
@@ -115,7 +101,8 @@ ShardedEngine::ShardedEngine(ShardedEngineOptions options, ThreadPool* pool)
                        : std::make_shared<ModuloPartitioner>()),
       pool_(pool) {
   IMGRN_CHECK_GE(options_.num_shards, 1u);
-  IMGRN_CHECK_GE(options_.num_replicas, 1u);
+  // The pending-removal compatibility field: one engine per shard.
+  IMGRN_CHECK_EQ(options_.num_replicas, 1u);
   measured_.SetDecay(options_.calibration.measured_half_life_seconds);
   if (options_.cache.capacity > 0) {
     cache_ = std::make_unique<ResultCache>(options_.cache);
@@ -123,7 +110,7 @@ ShardedEngine::ShardedEngine(ShardedEngineOptions options, ThreadPool* pool)
   auto topology = std::make_shared<Topology>();
   topology->shards.reserve(options_.num_shards);
   for (size_t i = 0; i < options_.num_shards; ++i) {
-    topology->shards.push_back(MakeReplicaSet(options_.num_replicas));
+    topology->shards.push_back(MakeShard());
   }
   topology_ = std::move(topology);
   if (options_.maintenance.enabled) {
@@ -141,27 +128,23 @@ ShardedEngine::~ShardedEngine() {
   maintenance_.reset();
 }
 
-std::shared_ptr<ShardReplica> ShardedEngine::MakeReplica() {
+std::shared_ptr<ShardedEngine::Shard> ShardedEngine::MakeShard() {
   EngineOptions engine_options = options_.engine;
   if (!options_.storage_dir.empty()) {
     engine_options.storage.backend = StorageBackend::kDisk;
     engine_options.storage.path = options_.storage_dir + "/shard-" +
                                   std::to_string(shard_files_created_++) +
                                   ".pages";
-    // Spill space, not a durability domain: the file dies with the replica.
+    // Spill space, not a durability domain: the file dies with the shard.
     engine_options.storage.unlink_on_close = true;
   }
-  return std::make_shared<ShardReplica>(engine_options, options_.breaker);
+  return std::make_shared<Shard>(engine_options, options_.breaker);
 }
 
-std::shared_ptr<ReplicaSet> ShardedEngine::MakeReplicaSet(
-    size_t num_replicas) {
-  std::vector<std::shared_ptr<ShardReplica>> replicas;
-  replicas.reserve(num_replicas);
-  for (size_t r = 0; r < num_replicas; ++r) {
-    replicas.push_back(MakeReplica());
-  }
-  return std::make_shared<ReplicaSet>(std::move(replicas));
+std::shared_ptr<const ShardedEngine::Topology>
+ShardedEngine::CurrentTopology() const {
+  std::lock_guard<std::mutex> lock(topology_mutex_);
+  return topology_;
 }
 
 void ShardedEngine::Publish(std::shared_ptr<const Topology> topology) {
@@ -208,7 +191,7 @@ void ShardedEngine::LoadDatabase(GeneDatabase database) {
   auto next = std::make_shared<Topology>();
   next->shards.reserve(num_shards);
   for (size_t i = 0; i < num_shards; ++i) {
-    next->shards.push_back(MakeReplicaSet(options_.num_replicas));
+    next->shards.push_back(MakeShard());
   }
 
   const size_t total = database.size();
@@ -232,22 +215,8 @@ void ShardedEngine::LoadDatabase(GeneDatabase database) {
     for (SourceId global : locals[s]) {
       cost += source_cost_[global];
     }
-    ReplicaSet& set = *next->shards[s];
-    // Every replica gets the identical slice (same local id layout, same
-    // matrices): replicas born here are lock-step mirrors from the first
-    // byte, so even their per-sub-query COUNTERS match across replicas.
-    for (size_t r = 0; r < set.size(); ++r) {
-      ShardReplica& replica = *set.replica(r);
-      replica.local_to_global = locals[s];
-      replica.active.assign(locals[s].size(), true);
-      replica.active_sources.store(locals[s].size(),
-                                   std::memory_order_relaxed);
-      replica.cost.store(cost, std::memory_order_relaxed);
-      if (parts[s].empty()) continue;
-      GeneDatabase part = (r + 1 == set.size()) ? std::move(parts[s])
-                                                : parts[s];
-      replica.engine.LoadDatabase(std::move(part));
-    }
+    LoadShard(*next->shards[s], std::move(parts[s]), std::move(locals[s]),
+              cost);
   }
   next->shard_of = std::move(plan.shard_of);
   next_source_ = total;
@@ -261,22 +230,20 @@ Status ShardedEngine::BuildIndex() {
     return Status::FailedPrecondition("no database loaded");
   }
   TopologyPin topology(*this);
-  // Build every populated replica's index; the builds are independent, so
+  // Build every populated shard's index; the builds are independent, so
   // fan them out when a pool is available.
-  std::vector<ShardReplica*> pending;
-  for (const std::shared_ptr<ReplicaSet>& set : topology->shards) {
-    for (const std::shared_ptr<ShardReplica>& replica : set->replicas()) {
-      if (replica->local_to_global.empty()) continue;
-      pending.push_back(replica.get());
-    }
+  std::vector<Shard*> pending;
+  for (const std::shared_ptr<Shard>& shard : topology->shards) {
+    if (shard->local_to_global.empty()) continue;
+    pending.push_back(shard.get());
   }
   std::vector<Status> statuses(pending.size(), Status::Ok());
   std::vector<std::future<void>> futures;
   for (size_t i = 0; i < pending.size(); ++i) {
-    ShardReplica& replica = *pending[i];
-    auto build = [&replica, &status = statuses[i]] {
-      status = replica.engine.BuildIndex();
-      replica.built = status.ok();
+    Shard& shard = *pending[i];
+    auto build = [&shard, &status = statuses[i]] {
+      status = shard.engine.BuildIndex();
+      shard.built = status.ok();
     };
     if (pool_ != nullptr) {
       futures.push_back(pool_->Submit(build));
@@ -462,7 +429,6 @@ Result<std::vector<QueryMatch>> ShardedEngine::QueryWithGraph(
     aggregated.candidate_matrices += shard.candidate_matrices;
     aggregated.matrices_pruned_graph += shard.matrices_pruned_graph;
     aggregated.shard_retries += shard.shard_retries;
-    aggregated.replica_failovers += shard.replica_failovers;
   }
   aggregated.degraded = !failed_shards.empty();
   aggregated.failed_shards = failed_shards;
@@ -511,34 +477,24 @@ Result<std::vector<QueryMatch>> ShardedEngine::QueryShard(
     return Status::FailedPrecondition("BuildIndex() has not run");
   }
   IMGRN_RETURN_IF_ERROR(ValidateParams(params));
-  return RunShard(*topology, shard, /*replica_index=*/0, query_graph, params,
-                  stats, control);
+  return RunShard(*topology, shard, query_graph, params, stats, control);
 }
 
 Result<std::vector<QueryMatch>> ShardedEngine::RunShard(
-    const Topology& topology, size_t shard_index, size_t replica_index,
+    const Topology& topology, size_t shard_index,
     const ProbGraph& query_graph, const QueryParams& params,
     QueryStats* stats, const QueryControl* control) const {
-  const ShardReplica& replica =
-      *topology.shards[shard_index]->replica(replica_index);
-  replica.sub_queries_started.fetch_add(1, std::memory_order_relaxed);
+  const Shard& shard = *topology.shards[shard_index];
+  shard.sub_queries_started.fetch_add(1, std::memory_order_relaxed);
   Result<std::vector<QueryMatch>> result = [&]() ->
       Result<std::vector<QueryMatch>> {
-        std::shared_lock<std::shared_mutex> lock(replica.mutex);
-        // The sub-query fault points, evaluated under the reader lock so an
-        // injected outage behaves exactly like a failure of the replica's
-        // own query path. "shard.subquery" (detail = shard) fires on
-        // whichever replica serves — the whole shard is down;
-        // "shard.replica" (detail = shard * stride + replica) targets ONE
-        // replica, so failover to its peers is observable.
+        std::shared_lock<std::shared_mutex> lock(shard.mutex);
+        // The sub-query fault point, evaluated under the reader lock so an
+        // injected outage behaves exactly like a failure of the shard's
+        // own query path.
         IMGRN_RETURN_IF_ERROR(CheckFault(fault_sites::kShardSubQuery,
                                          static_cast<int64_t>(shard_index)));
-        IMGRN_RETURN_IF_ERROR(CheckFault(
-            fault_sites::kReplicaSubQuery,
-            static_cast<int64_t>(shard_index) *
-                    fault_sites::kReplicaDetailStride +
-                static_cast<int64_t>(replica_index)));
-        if (!replica.built) {
+        if (!shard.built) {
           return std::vector<QueryMatch>{};  // Empty shard: no matches.
         }
         // The top_k policy is applied once, over the merged set: a
@@ -553,7 +509,7 @@ Result<std::vector<QueryMatch>> ShardedEngine::RunShard(
         // whether or not the caller asked for it.
         shard_params.collect_source_costs = true;
         QueryStats local_stats;
-        Result<std::vector<QueryMatch>> local = replica.engine.QueryWithGraph(
+        Result<std::vector<QueryMatch>> local = shard.engine.QueryWithGraph(
             query_graph, shard_params, &local_stats, control);
         if (!local.ok()) return local.status();
         // Feed the measured cost registry: one sample per source this
@@ -562,18 +518,16 @@ Result<std::vector<QueryMatch>> ShardedEngine::RunShard(
         // the expected per-query work under the live mix, and a source
         // the workload ignores is genuinely cheap. The shared lock both
         // pins local_to_global and excludes RemoveSource's Retire() (which
-        // runs after deactivating under every replica's write lock), so no
-        // sample lands after a source is retired. Replicas mirror the same
-        // active set, so WHICH replica records does not change which
-        // globals get samples.
-        std::vector<uint64_t> work_of(replica.local_to_global.size(), 0);
+        // runs after deactivating under the shard's write lock), so no
+        // sample lands after a source is retired.
+        std::vector<uint64_t> work_of(shard.local_to_global.size(), 0);
         for (const SourceCostSample& sample : local_stats.source_costs) {
           IMGRN_CHECK_LT(sample.source, work_of.size());
           work_of[sample.source] = sample.work;
         }
-        for (size_t i = 0; i < replica.local_to_global.size(); ++i) {
-          if (!replica.active[i]) continue;
-          const SourceId global = replica.local_to_global[i];
+        for (size_t i = 0; i < shard.local_to_global.size(); ++i) {
+          if (!shard.active[i]) continue;
+          const SourceId global = shard.local_to_global[i];
           if (global < topology.shard_of.size() &&
               topology.shard_of[global] != shard_index) {
             continue;  // A migrating duplicate; its owner records it.
@@ -591,8 +545,8 @@ Result<std::vector<QueryMatch>> ShardedEngine::RunShard(
         std::vector<QueryMatch> kept;
         kept.reserve(local->size());
         for (QueryMatch& match : *local) {
-          IMGRN_CHECK_LT(match.source, replica.local_to_global.size());
-          const SourceId global = replica.local_to_global[match.source];
+          IMGRN_CHECK_LT(match.source, shard.local_to_global.size());
+          const SourceId global = shard.local_to_global[match.source];
           if (global < topology.shard_of.size() &&
               topology.shard_of[global] != shard_index) {
             continue;
@@ -614,7 +568,7 @@ Result<std::vector<QueryMatch>> ShardedEngine::RunShard(
             remapped.reserve(local_stats.source_costs.size());
             for (SourceCostSample sample : local_stats.source_costs) {
               const SourceId global =
-                  replica.local_to_global[sample.source];
+                  shard.local_to_global[sample.source];
               if (global < topology.shard_of.size() &&
                   topology.shard_of[global] != shard_index) {
                 continue;
@@ -634,9 +588,9 @@ Result<std::vector<QueryMatch>> ShardedEngine::RunShard(
         return kept;
       }();
   if (!result.ok()) {
-    replica.sub_query_errors.fetch_add(1, std::memory_order_relaxed);
+    shard.sub_query_errors.fetch_add(1, std::memory_order_relaxed);
   }
-  replica.sub_queries_finished.fetch_add(1, std::memory_order_relaxed);
+  shard.sub_queries_finished.fetch_add(1, std::memory_order_relaxed);
   return result;
 }
 
@@ -644,43 +598,32 @@ Result<std::vector<QueryMatch>> ShardedEngine::RunShardWithRecovery(
     const Topology& topology, size_t shard_index,
     const ProbGraph& query_graph, const QueryParams& params,
     QueryStats* stats, const QueryControl* control) const {
-  const ReplicaSet& set = *topology.shards[shard_index];
+  CircuitBreaker& breaker = topology.shards[shard_index]->breaker;
   const ShardRetryOptions& retry = options_.retry;
   uint64_t retries = 0;
-  uint64_t failovers = 0;
   int64_t backoff_micros = retry.initial_backoff_micros;
   auto finish = [&](Result<std::vector<QueryMatch>> result) {
-    if (stats != nullptr) {
-      stats->shard_retries = retries;
-      stats->replica_failovers = failovers;
-    }
+    if (stats != nullptr) stats->shard_retries = retries;
     return result;
   };
   for (size_t attempt = 1;; ++attempt) {
-    // Route this attempt: the round-robin pick skips quarantined replicas
-    // (counted as failovers) and claims the half-open probe slot of a
-    // recovering one, so the chosen replica must receive exactly one
-    // health verdict below. A breaker that opened because of THIS
-    // sub-query's earlier failures is skipped by the remaining retries
-    // too.
-    const int64_t picked = set.PickReplica(&failovers);
-    if (picked < 0) {
+    // A breaker that opened because of THIS sub-query's earlier failures
+    // turns the remaining retries away too.
+    if (!breaker.AllowRequest()) {
       return finish(Status::Unavailable(
-          "shard " + std::to_string(shard_index) + " is quarantined (all " +
-          std::to_string(set.size()) + " replica circuit breakers open)"));
+          "shard " + std::to_string(shard_index) +
+          " is quarantined (circuit breaker open)"));
     }
-    ShardReplica& replica = *set.replica(static_cast<size_t>(picked));
-    // PickReplica admitted this attempt (and may have claimed the
-    // replica's half-open probe slot), so exactly one verdict is owed.
-    // The guard makes that structural: every exit from this iteration —
-    // including an exception out of RunShard or a future early return —
-    // delivers one, so a dropped probe can never wedge the breaker
-    // half-open (probe_in_flight_ stuck true, all future probes
-    // rejected, the replica unrecoverable).
-    CircuitBreaker::ProbeGuard probe(&replica.breaker);
-    Result<std::vector<QueryMatch>> result =
-        RunShard(topology, shard_index, static_cast<size_t>(picked),
-                 query_graph, params, stats, control);
+    // The breaker admitted this attempt (and may have handed it the
+    // half-open probe slot), so exactly one verdict is owed. The guard
+    // makes that structural: every exit from this iteration — including
+    // an exception out of RunShard or a future early return — delivers
+    // one, so a dropped probe can never wedge the breaker half-open
+    // (probe_in_flight_ stuck true, all future probes rejected, the shard
+    // unrecoverable).
+    CircuitBreaker::ProbeGuard probe(&breaker);
+    Result<std::vector<QueryMatch>> result = RunShard(
+        topology, shard_index, query_graph, params, stats, control);
     if (result.ok()) {
       probe.Success();
       return finish(std::move(result));
@@ -691,7 +634,7 @@ Result<std::vector<QueryMatch>> ShardedEngine::RunShardWithRecovery(
         code == StatusCode::kInvalidArgument ||
         code == StatusCode::kFailedPrecondition) {
       // The caller's doing (cancel, deadline, bad request), not the
-      // replica's: no health verdict, no retry.
+      // shard's: no health verdict, no retry.
       probe.Neutral();
       return finish(std::move(result));
     }
@@ -707,36 +650,35 @@ Result<std::vector<QueryMatch>> ShardedEngine::RunShardWithRecovery(
       Status cancelled = control->Check();
       if (!cancelled.ok()) return finish(std::move(cancelled));
     }
-    if (set.size() > 1) {
-      // The retry fails over: the round-robin cursor has moved past the
-      // replica that just failed, so the next attempt lands on a peer.
-      // Backoff buys a sick replica time to recover — a healthy peer
-      // needs none, so failover retries go out immediately.
-      ++failovers;
-      continue;
-    }
     std::this_thread::sleep_for(std::chrono::microseconds(backoff_micros));
     backoff_micros =
         static_cast<int64_t>(backoff_micros * retry.backoff_multiplier);
   }
 }
 
-int64_t ShardedEngine::ActiveLocalOf(const ShardReplica& replica,
-                                     SourceId global) {
+int64_t ShardedEngine::ActiveLocalOf(const Shard& shard, SourceId global) {
   // Scan from the back: migrated-in entries (the common lookup after a
   // rebalance) sit at the end, and at most one entry per global is active.
-  for (size_t i = replica.local_to_global.size(); i > 0; --i) {
-    if (replica.local_to_global[i - 1] == global && replica.active[i - 1]) {
+  for (size_t i = shard.local_to_global.size(); i > 0; --i) {
+    if (shard.local_to_global[i - 1] == global && shard.active[i - 1]) {
       return static_cast<int64_t>(i - 1);
     }
   }
   return -1;
 }
 
-Status ShardedEngine::AppendToReplicaLocked(ShardReplica& replica,
-                                            GeneMatrix matrix,
-                                            SourceId global, double cost) {
-  std::unique_lock<std::shared_mutex> lock(replica.mutex);
+void ShardedEngine::LoadShard(Shard& shard, GeneDatabase part,
+                              std::vector<SourceId> globals, double cost) {
+  shard.active.assign(globals.size(), true);
+  shard.active_sources.store(globals.size(), std::memory_order_relaxed);
+  shard.cost.store(cost, std::memory_order_relaxed);
+  shard.local_to_global = std::move(globals);
+  if (!part.empty()) shard.engine.LoadDatabase(std::move(part));
+}
+
+Status ShardedEngine::AppendToShardLocked(Shard& shard, GeneMatrix matrix,
+                                          SourceId global, double cost) {
+  std::unique_lock<std::shared_mutex> lock(shard.mutex);
   // The new local id is defined by the side tables, NOT the engine: every
   // query remaps through local_to_global, so IT is the authority on what
   // local ids mean. The engine's database happens to agree because
@@ -744,71 +686,47 @@ Status ShardedEngine::AppendToReplicaLocked(ShardReplica& replica,
   // assumption down so a future engine that compacts on removal fails
   // loudly here instead of silently remapping matches to wrong globals
   // after a RemoveSource -> AddSource sequence on the same shard.
-  const SourceId local =
-      static_cast<SourceId>(replica.local_to_global.size());
-  if (!replica.built) {
-    IMGRN_CHECK_EQ(replica.local_to_global.size(), 0u);
-    // First source of a previously empty replica: bootstrap its engine.
+  const SourceId local = static_cast<SourceId>(shard.local_to_global.size());
+  if (!shard.built) {
+    IMGRN_CHECK_EQ(shard.local_to_global.size(), 0u);
+    // First source of a previously empty shard: bootstrap its engine.
     matrix.set_source_id(0);
     GeneDatabase database;
     database.Add(std::move(matrix));
-    replica.engine.LoadDatabase(std::move(database));
-    IMGRN_RETURN_IF_ERROR(replica.engine.BuildIndex());
-    replica.built = true;
+    shard.engine.LoadDatabase(std::move(database));
+    IMGRN_RETURN_IF_ERROR(shard.engine.BuildIndex());
+    shard.built = true;
   } else {
     IMGRN_CHECK_EQ(static_cast<size_t>(local),
-                   replica.engine.database().size());
+                   shard.engine.database().size());
     matrix.set_source_id(local);
-    IMGRN_RETURN_IF_ERROR(replica.engine.AddMatrix(std::move(matrix)));
+    IMGRN_RETURN_IF_ERROR(shard.engine.AddMatrix(std::move(matrix)));
   }
-  replica.local_to_global.push_back(global);
-  replica.active.push_back(true);
-  replica.active_sources.fetch_add(1, std::memory_order_relaxed);
-  replica.cost.store(replica.cost.load(std::memory_order_relaxed) + cost,
-                     std::memory_order_relaxed);
+  shard.local_to_global.push_back(global);
+  shard.active.push_back(true);
+  shard.active_sources.fetch_add(1, std::memory_order_relaxed);
+  shard.cost.store(shard.cost.load(std::memory_order_relaxed) + cost,
+                   std::memory_order_relaxed);
   return Status::Ok();
 }
 
-Status ShardedEngine::AppendToAllReplicasLocked(ReplicaSet& set,
-                                                const GeneMatrix& matrix,
-                                                SourceId global,
-                                                double cost) {
-  for (size_t r = 0; r < set.size(); ++r) {
-    Status append = AppendToReplicaLocked(*set.replica(r), matrix, global,
-                                          cost);
-    if (!append.ok()) {
-      // Roll the earlier replicas back so the set never exposes the source
-      // on some replicas but not others (a query routed to replica 0 must
-      // see exactly what one routed to replica 1 sees).
-      IMGRN_CHECK_OK(RemoveFromReplicasLocked(set, global, cost,
-                                              /*must_exist=*/false));
-      return append;
-    }
-  }
+Status ShardedEngine::DeactivateLocal(Shard& shard, size_t local,
+                                      double cost) {
+  IMGRN_RETURN_IF_ERROR(
+      shard.engine.RemoveMatrix(static_cast<SourceId>(local)));
+  shard.active[local] = false;
+  shard.active_sources.fetch_sub(1, std::memory_order_relaxed);
+  shard.cost.store(shard.cost.load(std::memory_order_relaxed) - cost,
+                   std::memory_order_relaxed);
   return Status::Ok();
 }
 
-Status ShardedEngine::RemoveFromReplicasLocked(ReplicaSet& set,
-                                               SourceId global, double cost,
-                                               bool must_exist) {
-  for (const std::shared_ptr<ShardReplica>& entry : set.replicas()) {
-    ShardReplica& replica = *entry;
-    std::unique_lock<std::shared_mutex> lock(replica.mutex);
-    const int64_t local = ActiveLocalOf(replica, global);
-    if (local < 0) {
-      // Replicas mirror the same active set, so a missing entry is only
-      // legitimate when unwinding a PARTIAL append (must_exist false).
-      IMGRN_CHECK(!must_exist);
-      continue;
-    }
-    IMGRN_RETURN_IF_ERROR(
-        replica.engine.RemoveMatrix(static_cast<SourceId>(local)));
-    replica.active[static_cast<size_t>(local)] = false;
-    replica.active_sources.fetch_sub(1, std::memory_order_relaxed);
-    replica.cost.store(replica.cost.load(std::memory_order_relaxed) - cost,
-                       std::memory_order_relaxed);
-  }
-  return Status::Ok();
+Status ShardedEngine::RemoveFromShardLocked(Shard& shard, SourceId global,
+                                            double cost) {
+  std::unique_lock<std::shared_mutex> lock(shard.mutex);
+  const int64_t local = ActiveLocalOf(shard, global);
+  IMGRN_CHECK_GE(local, 0);
+  return DeactivateLocal(shard, static_cast<size_t>(local), cost);
 }
 
 Status ShardedEngine::AddSource(GeneMatrix matrix) {
@@ -822,28 +740,17 @@ Status ShardedEngine::AddSource(GeneMatrix matrix) {
   }
   const SourceId global = matrix.source_id();
   const double cost = EstimateSourceCost(matrix);
-  std::shared_ptr<const Topology> current;
-  {
-    std::lock_guard<std::mutex> lock(topology_mutex_);
-    current = topology_;
-  }
+  const std::shared_ptr<const Topology> current = CurrentTopology();
   std::vector<double> shard_costs;
   shard_costs.reserve(current->shards.size());
-  for (const std::shared_ptr<ReplicaSet>& set : current->shards) {
-    shard_costs.push_back(set->primary().cost.load(std::memory_order_relaxed));
+  for (const std::shared_ptr<Shard>& shard : current->shards) {
+    shard_costs.push_back(shard->cost.load(std::memory_order_relaxed));
   }
   const size_t s = partitioner_->PlaceSource(global, cost, shard_costs);
   IMGRN_CHECK_LT(s, current->shards.size());
-  Status append =
-      AppendToAllReplicasLocked(*current->shards[s], matrix, global, cost);
-  if (!append.ok()) {
-    // The rolled-back append may have been briefly visible on the earlier
-    // replicas (the new source passes the map filter while unpublished);
-    // bump the generation so any result cached during that window can
-    // never be served.
-    update_generation_.fetch_add(1, std::memory_order_release);
-    return append;
-  }
+  IMGRN_RETURN_IF_ERROR(
+      AppendToShardLocked(*current->shards[s], std::move(matrix), global,
+                          cost));
   source_cost_.push_back(cost);
   retracted_.push_back(false);
   ++next_source_;
@@ -869,26 +776,20 @@ Status ShardedEngine::RemoveSource(SourceId source) {
   if (source >= next_source_) {
     return Status::InvalidArgument("unknown source id");
   }
-  std::shared_ptr<const Topology> current;
-  {
-    std::lock_guard<std::mutex> lock(topology_mutex_);
-    current = topology_;
-  }
-  ReplicaSet& set = *current->shards[current->shard_of[source]];
-  // Existence check against the primary (replicas mirror the active set).
-  // No replica lock needed for the read: the side tables are only written
-  // by holders of update_mutex_, which we are.
-  if (ActiveLocalOf(set.primary(), source) < 0) {
+  const std::shared_ptr<const Topology> current = CurrentTopology();
+  Shard& shard = *current->shards[current->shard_of[source]];
+  // No shard lock needed for the read: the side tables are only written by
+  // holders of update_mutex_, which we are.
+  if (ActiveLocalOf(shard, source) < 0) {
     return Status::FailedPrecondition("matrix already removed");
   }
-  IMGRN_RETURN_IF_ERROR(RemoveFromReplicasLocked(
-      set, source, source_cost_[source], /*must_exist=*/true));
+  IMGRN_RETURN_IF_ERROR(
+      RemoveFromShardLocked(shard, source, source_cost_[source]));
   retracted_[source] = true;
-  // Forget the measured cost after every replica was deactivated under its
-  // write lock: a sub-query records under a replica's shared lock, so any
-  // recording that could re-add a sample happened-before that replica's
-  // write lock above — and any sub-query starting now sees the source
-  // inactive on every replica.
+  // Forget the measured cost after the shard deactivated the source under
+  // its write lock: a sub-query records under the shard's shared lock, so
+  // any recording that could re-add a sample happened-before that write
+  // lock — and any sub-query starting now sees the source inactive.
   measured_.Retire(source);
   update_generation_.fetch_add(1, std::memory_order_release);
   return Status::Ok();
@@ -899,11 +800,7 @@ Status ShardedEngine::Rebalance(const PartitionPlan& plan) {
   if (!built_) {
     return Status::FailedPrecondition("BuildIndex() has not run");
   }
-  std::shared_ptr<const Topology> current;
-  {
-    std::lock_guard<std::mutex> lock(topology_mutex_);
-    current = topology_;
-  }
+  const std::shared_ptr<const Topology> current = CurrentTopology();
   if (plan.num_shards != current->shards.size()) {
     return Status::InvalidArgument(
         "plan has " + std::to_string(plan.num_shards) + " shards, engine " +
@@ -941,11 +838,7 @@ Status ShardedEngine::Rebalance(double target_imbalance,
   if (!built_) {
     return Status::FailedPrecondition("BuildIndex() has not run");
   }
-  std::shared_ptr<const Topology> current;
-  {
-    std::lock_guard<std::mutex> lock(topology_mutex_);
-    current = topology_;
-  }
+  const std::shared_ptr<const Topology> current = CurrentTopology();
   // Under update_mutex_ the published map always covers every source
   // (AddSource extends it before releasing the lock).
   PartitionPlan now;
@@ -969,21 +862,16 @@ Status ShardedEngine::Resize(size_t new_num_shards) {
   if (!built_) {
     return Status::FailedPrecondition("BuildIndex() has not run");
   }
-  std::shared_ptr<const Topology> current;
-  {
-    std::lock_guard<std::mutex> lock(topology_mutex_);
-    current = topology_;
-  }
+  const std::shared_ptr<const Topology> current = CurrentTopology();
   // Shards keep their identity below min(K, K'): the partitioner decides
-  // placement, the migration moves only what it reassigns. New shards get
-  // the current replica count (SetReplicas keeps options_ in sync).
-  std::vector<std::shared_ptr<ReplicaSet>> target_shards;
+  // placement, the migration moves only what it reassigns.
+  std::vector<std::shared_ptr<Shard>> target_shards;
   target_shards.reserve(new_num_shards);
   for (size_t i = 0; i < new_num_shards; ++i) {
     if (i < current->shards.size()) {
       target_shards.push_back(current->shards[i]);
     } else {
-      target_shards.push_back(MakeReplicaSet(options_.num_replicas));
+      target_shards.push_back(MakeShard());
     }
   }
   // Retracted sources carry no load; zero them out so the plan packs only
@@ -1006,94 +894,12 @@ Status ShardedEngine::Resize(size_t new_num_shards) {
   return migrated;
 }
 
-Status ShardedEngine::SetReplicas(size_t num_replicas) {
-  std::lock_guard<std::mutex> routing(update_mutex_);
-  if (num_replicas == 0) {
-    return Status::InvalidArgument("replica count must be >= 1");
-  }
-  if (!built_) {
-    return Status::FailedPrecondition("BuildIndex() has not run");
-  }
-  std::shared_ptr<const Topology> current;
-  {
-    std::lock_guard<std::mutex> lock(topology_mutex_);
-    current = topology_;
-  }
-  const size_t have = current->shards.front()->size();
-  if (num_replicas == have) {
-    options_.num_replicas = num_replicas;
-    return Status::Ok();
-  }
-  auto next = std::make_shared<Topology>();
-  next->shard_of = current->shard_of;
-  next->shards.reserve(current->shards.size());
-  if (num_replicas < have) {
-    // Shrink — the migration protocol's publish -> drain -> delete,
-    // applied to replicas: publish sets without the tail replicas, wait
-    // for every query pinned to a topology that can still route to a
-    // dropped replica, and let the last shared_ptr destroy it (its spill
-    // file unlinks with it).
-    for (const std::shared_ptr<ReplicaSet>& set : current->shards) {
-      std::vector<std::shared_ptr<ShardReplica>> kept(
-          set->replicas().begin(),
-          set->replicas().begin() + static_cast<ptrdiff_t>(num_replicas));
-      next->shards.push_back(std::make_shared<ReplicaSet>(std::move(kept)));
-    }
-    options_.num_replicas = num_replicas;
-    Publish(std::move(next));
-    std::shared_ptr<const Topology> newest;
-    {
-      std::lock_guard<std::mutex> lock(topology_mutex_);
-      newest = topology_;
-    }
-    DrainOlder(*newest);
-    return Status::Ok();
-  }
-  // Grow — the protocol's copy -> publish: clone each shard's primary into
-  // the new replicas through the same append path migrations use, then
-  // publish sets that include them. No drain is needed: the new sets are
-  // supersets of the old (same surviving ShardReplica objects), so every
-  // older pin stays fully servable. A clone failure aborts before the
-  // publish — the half-built replicas were never reachable, so there is
-  // nothing to roll back.
-  for (const std::shared_ptr<ReplicaSet>& set : current->shards) {
-    std::vector<std::shared_ptr<ShardReplica>> replicas = set->replicas();
-    const ShardReplica& primary = set->primary();
-    for (size_t r = have; r < num_replicas; ++r) {
-      std::shared_ptr<ShardReplica> replica = MakeReplica();
-      // Read the primary without its lock: the side tables and database
-      // are only written by holders of update_mutex_, which we are. The
-      // clone compacts local ids (inactive entries are skipped) — matches
-      // are unaffected because local ids never leave a sub-query.
-      for (size_t i = 0; i < primary.local_to_global.size(); ++i) {
-        if (!primary.active[i]) continue;
-        const SourceId global = primary.local_to_global[i];
-        GeneMatrix copy =
-            primary.engine.database().matrix(static_cast<SourceId>(i));
-        IMGRN_RETURN_IF_ERROR(AppendToReplicaLocked(
-            *replica, std::move(copy), global, source_cost_[global]));
-      }
-      replicas.push_back(std::move(replica));
-    }
-    next->shards.push_back(std::make_shared<ReplicaSet>(std::move(replicas)));
-  }
-  options_.num_replicas = num_replicas;
-  Publish(std::move(next));
-  // No generation bump: replica membership cannot change answers, so the
-  // result cache deliberately stays warm across replica scaling.
-  return Status::Ok();
-}
-
 Status ShardedEngine::MigrateLocked(
-    std::vector<std::shared_ptr<ReplicaSet>> target_shards,
+    std::vector<std::shared_ptr<Shard>> target_shards,
     std::vector<uint32_t> target_map) {
-  std::shared_ptr<const Topology> current;
-  {
-    std::lock_guard<std::mutex> lock(topology_mutex_);
-    current = topology_;
-  }
+  const std::shared_ptr<const Topology> current = CurrentTopology();
   // The moving set: active sources whose owner changes. Shard indices
-  // shared between the lists refer to the same ReplicaSet object, so an
+  // shared between the lists refer to the same Shard object, so an
   // unchanged assignment never moves, even across a Resize.
   std::vector<std::vector<SourceId>> incoming(target_shards.size());
   size_t moves = 0;
@@ -1142,50 +948,37 @@ Status ShardedEngine::MigrateLocked(
   // deactivating them here is safe and makes migrations self-healing: each
   // one starts by garbage-collecting whatever a predecessor's fault left.
   for (size_t s = 0; s < current->shards.size(); ++s) {
-    for (const std::shared_ptr<ShardReplica>& entry :
-         current->shards[s]->replicas()) {
-      ShardReplica& replica = *entry;
-      std::unique_lock<std::shared_mutex> lock(replica.mutex);
-      for (size_t i = 0; i < replica.local_to_global.size(); ++i) {
-        if (!replica.active[i]) continue;
-        const SourceId global = replica.local_to_global[i];
-        if (current->shard_of[global] == s) continue;
-        IMGRN_RETURN_IF_ERROR(
-            replica.engine.RemoveMatrix(static_cast<SourceId>(i)));
-        replica.active[i] = false;
-        replica.active_sources.fetch_sub(1, std::memory_order_relaxed);
-        replica.cost.store(replica.cost.load(std::memory_order_relaxed) -
-                               source_cost_[global],
-                           std::memory_order_relaxed);
-      }
+    Shard& shard = *current->shards[s];
+    std::unique_lock<std::shared_mutex> lock(shard.mutex);
+    for (size_t i = 0; i < shard.local_to_global.size(); ++i) {
+      if (!shard.active[i]) continue;
+      const SourceId global = shard.local_to_global[i];
+      if (current->shard_of[global] == s) continue;
+      IMGRN_RETURN_IF_ERROR(DeactivateLocal(shard, i, source_cost_[global]));
     }
   }
 
   // Pre-publish rollback: deactivates the destination copies THIS
-  // migration appended (on every replica that received them — a set whose
-  // append faulted halfway already unwound itself). They are invisible
-  // (active non-owners under the still-current map), so a faulted copy
-  // step can undo itself and leave the engine exactly as it found it.
-  std::vector<std::pair<ReplicaSet*, SourceId>> appended;
+  // migration appended. They are invisible (active non-owners under the
+  // still-current map), so a faulted copy step can undo itself and leave
+  // the engine exactly as it found it.
+  std::vector<std::pair<Shard*, SourceId>> appended;
   auto rollback = [&] {
     for (auto& [dst, global] : appended) {
-      IMGRN_CHECK_OK(RemoveFromReplicasLocked(
-          *dst, global, source_cost_[global], /*must_exist=*/true));
+      IMGRN_CHECK_OK(RemoveFromShardLocked(*dst, global, source_cost_[global]));
     }
   };
 
-  // Step 2 — copy every moving source into every replica of its
-  // destination shard (write lock per append). The old copies stay in
-  // place and stay authoritative: in-flight queries pinned to `mid` filter
-  // the new copies out. The sweep above guarantees no destination already
-  // holds an active copy. A fault rolls the appends back and leaves
-  // ownership untouched. Fault sites are evaluated once per moving source,
-  // not per replica — the unit of migration is the source.
+  // Step 2 — copy every moving source into its destination shard (write
+  // lock per append). The old copies stay in place and stay
+  // authoritative: in-flight queries pinned to `mid` filter the new copies
+  // out. The sweep above guarantees no destination already holds an
+  // active copy. A fault rolls the appends back and leaves ownership
+  // untouched.
   for (size_t d = 0; d < target_shards.size(); ++d) {
     for (SourceId global : incoming[d]) {
-      ReplicaSet& dst = *target_shards[d];
-      const ShardReplica& src =
-          current->shards[current->shard_of[global]]->primary();
+      Shard& dst = *target_shards[d];
+      const Shard& src = *current->shards[current->shard_of[global]];
       Status copy_fault =
           CheckFault(fault_sites::kMigrateCopy, static_cast<int64_t>(global));
       if (!copy_fault.ok()) {
@@ -1194,10 +987,13 @@ Status ShardedEngine::MigrateLocked(
       }
       const int64_t src_local = ActiveLocalOf(src, global);
       IMGRN_CHECK_GE(src_local, 0);
-      const GeneMatrix& matrix =
+      // Read the source shard without its lock: the side tables and
+      // database are only written by holders of update_mutex_, which we
+      // are.
+      GeneMatrix copy =
           src.engine.database().matrix(static_cast<SourceId>(src_local));
-      Status append = AppendToAllReplicasLocked(dst, matrix, global,
-                                                source_cost_[global]);
+      Status append = AppendToShardLocked(dst, std::move(copy), global,
+                                          source_cost_[global]);
       if (!append.ok()) {
         rollback();
         return append;
@@ -1231,12 +1027,12 @@ Status ShardedEngine::MigrateLocked(
                  static_cast<int64_t>(next->shards.size())));
   DrainOlder(*next);
 
-  // Step 4 — delete the moved sources from their old shards (every
-  // replica). Shards that are not part of the new topology are skipped: no
-  // new query can reach them, and the object is retired when its last pin
-  // unwinds. A fault mid-loop is safe at every prefix: the new map is
-  // already authoritative, each undeleted old copy is an invisible
-  // non-owner, and the next migration's sweep finishes the job.
+  // Step 4 — delete the moved sources from their old shards. Shards that
+  // are not part of the new topology are skipped: no new query can reach
+  // them, and the object is retired when its last pin unwinds. A fault
+  // mid-loop is safe at every prefix: the new map is already
+  // authoritative, each undeleted old copy is an invisible non-owner, and
+  // the next migration's sweep finishes the job.
   for (SourceId global = 0; global < next_source_; ++global) {
     if (retracted_[global]) continue;
     const size_t from = current->shard_of[global];
@@ -1247,9 +1043,8 @@ Status ShardedEngine::MigrateLocked(
     }
     IMGRN_RETURN_IF_ERROR(
         CheckFault(fault_sites::kMigrateDelete, static_cast<int64_t>(global)));
-    IMGRN_RETURN_IF_ERROR(RemoveFromReplicasLocked(
-        *current->shards[from], global, source_cost_[global],
-        /*must_exist=*/true));
+    IMGRN_RETURN_IF_ERROR(RemoveFromShardLocked(
+        *current->shards[from], global, source_cost_[global]));
   }
   return Status::Ok();
 }
@@ -1260,44 +1055,31 @@ Status ShardedEngine::ScrubStep(ScrubCursor* cursor, size_t max_pages,
   if (!built_.load(std::memory_order_acquire)) return Status::Ok();
   TopologyPin topology(*this);
   const size_t num_shards = topology->shards.size();
-  size_t total_replicas = 0;
-  for (const std::shared_ptr<ReplicaSet>& set : topology->shards) {
-    total_replicas += set->size();
-  }
-  if (total_replicas == 0) return Status::Ok();
-  // The cursor may point past a shrunken topology (Resize/SetReplicas ran
-  // since the last step); clamp rather than guess a mapping.
+  // The cursor may point past a shrunken topology (Resize ran since the
+  // last step); clamp rather than guess a mapping.
   if (cursor->shard >= num_shards) *cursor = ScrubCursor{};
-  if (cursor->replica >= topology->shards[cursor->shard]->size()) {
-    cursor->replica = 0;
-    cursor->page = 0;
-  }
-  // Odometer advance: next replica, wrapping to the next shard and back to
-  // the first — the scrubber eventually revisits everything forever.
+  // Odometer advance: next shard, wrapping back to the first — the
+  // scrubber eventually revisits everything forever.
   auto advance = [&] {
     cursor->page = 0;
-    if (++cursor->replica >= topology->shards[cursor->shard]->size()) {
-      cursor->replica = 0;
-      if (++cursor->shard >= num_shards) cursor->shard = 0;
-    }
+    if (++cursor->shard >= num_shards) cursor->shard = 0;
   };
   size_t budget = max_pages;
   size_t completed = 0;
   // `completed` bounds the walk to one full lap: with every store empty
   // the budget never shrinks, and this loop must still terminate.
-  while (budget > 0 && completed <= total_replicas) {
-    ShardReplica& replica =
-        *topology->shards[cursor->shard]->replica(cursor->replica);
+  while (budget > 0 && completed <= num_shards) {
+    Shard& shard = *topology->shards[cursor->shard];
     size_t scrubbed = 0;
     bool store_done = false;
     Status status;
     {
       // Shared lock: the scrub read path mutates nothing queries share, so
-      // concurrent sub-queries on this replica proceed undisturbed.
-      std::shared_lock<std::shared_mutex> lock(replica.mutex);
-      status = replica.engine.ScrubPages(&cursor->page, budget, &scrubbed);
+      // concurrent sub-queries on this shard proceed undisturbed.
+      std::shared_lock<std::shared_mutex> lock(shard.mutex);
+      status = shard.engine.ScrubPages(&cursor->page, budget, &scrubbed);
       if (status.ok()) {
-        const StorageManager* store = replica.engine.storage();
+        const StorageManager* store = shard.engine.storage();
         store_done =
             store == nullptr || cursor->page >= store->num_pages();
       }
@@ -1307,11 +1089,10 @@ Status ShardedEngine::ScrubStep(ScrubCursor* cursor, size_t max_pages,
     if (!status.ok()) {
       if (status.code() == StatusCode::kDataLoss) {
         // Rot (or its injected stand-in). Report it for quarantine +
-        // rebuild and move the cursor off the doomed replica — its store
-        // is about to be replaced wholesale.
+        // rebuild and move the cursor off the doomed shard — its store is
+        // about to be replaced wholesale.
         report->corrupt = true;
         report->corrupt_shard = cursor->shard;
-        report->corrupt_replica = cursor->replica;
         advance();
         return Status::Ok();
       }
@@ -1329,9 +1110,8 @@ Status ShardedEngine::ScrubStep(ScrubCursor* cursor, size_t max_pages,
         size_t truncated = 0;
         Status reclaim_status;
         {
-          std::unique_lock<std::shared_mutex> lock(replica.mutex);
-          reclaim_status =
-              replica.engine.ReclaimStorage(&reclaimed, &truncated);
+          std::unique_lock<std::shared_mutex> lock(shard.mutex);
+          reclaim_status = shard.engine.ReclaimStorage(&reclaimed, &truncated);
         }
         report->pages_reclaimed += reclaimed;
         report->slots_truncated += truncated;
@@ -1347,98 +1127,72 @@ Status ShardedEngine::ScrubStep(ScrubCursor* cursor, size_t max_pages,
   return Status::Ok();
 }
 
-void ShardedEngine::QuarantineReplica(size_t shard, size_t replica) {
+void ShardedEngine::QuarantineShard(size_t shard) {
   TopologyPin topology(*this);
   IMGRN_CHECK_LT(shard, topology->shards.size());
-  IMGRN_CHECK_LT(replica, topology->shards[shard]->size());
-  topology->shards[shard]->replica(replica)->breaker.Trip();
+  topology->shards[shard]->breaker.Trip();
 }
 
-Status ShardedEngine::RebuildReplica(size_t shard, size_t replica) {
+Status ShardedEngine::RebuildShard(size_t shard) {
   std::lock_guard<std::mutex> routing(update_mutex_);
   if (!built_) {
     return Status::FailedPrecondition("BuildIndex() has not run");
   }
-  std::shared_ptr<const Topology> current;
-  {
-    std::lock_guard<std::mutex> lock(topology_mutex_);
-    current = topology_;
-  }
+  const std::shared_ptr<const Topology> current = CurrentTopology();
   if (shard >= current->shards.size()) {
     return Status::InvalidArgument("shard index out of range");
   }
-  const ReplicaSet& set = *current->shards[shard];
-  if (replica >= set.size()) {
-    return Status::InvalidArgument("replica index out of range");
-  }
-  // Donor: the lowest-numbered peer that is not quarantined. With no such
-  // peer, the sick replica donates to its own replacement — its resident
-  // side tables and database are intact even when its backing STORE is
-  // not (the store holds tree pages; the matrices live in memory).
-  // Reading the donor without its lock is safe here: the side tables and
-  // database are only written by holders of update_mutex_, which we are
-  // (the SetReplicas clone makes the same argument).
-  const ShardReplica* donor = nullptr;
-  for (size_t r = 0; r < set.size(); ++r) {
-    if (r == replica) continue;
-    if (set.replica(r)->breaker.state() != CircuitBreaker::State::kOpen) {
-      donor = set.replica(r).get();
-      break;
-    }
-  }
-  if (donor == nullptr) donor = set.replica(replica).get();
-  // Copy phase: synthesize a fresh replica (fresh engine, fresh backing
-  // file, closed breaker) through the same append path migrations use.
-  // The copy fault site fires per source, like a migration's copy step. A
-  // failure aborts before the publish — the half-built replica was never
-  // reachable, so there is nothing to roll back.
-  std::shared_ptr<ShardReplica> fresh = MakeReplica();
-  for (size_t i = 0; i < donor->local_to_global.size(); ++i) {
-    if (!donor->active[i]) continue;
-    const SourceId global = donor->local_to_global[i];
+  // The sick shard donates to its own replacement: its resident side
+  // tables and database are intact even when its backing STORE is not
+  // (the store holds tree pages; the matrices live in memory). Reading
+  // them without the shard lock is safe: they are only written by holders
+  // of update_mutex_, which we are.
+  const Shard& sick = *current->shards[shard];
+  // Copy phase: the active sources, compacted to dense local ids (local
+  // ids never leave a sub-query, so matches are unaffected), go into a
+  // fresh shard — fresh engine, fresh backing file, closed breaker — that
+  // is indexed in one build. The copy fault site fires per source, like a
+  // migration's copy step. A failure aborts before the publish: the
+  // half-built shard was never reachable, so there is nothing to roll
+  // back.
+  GeneDatabase part;
+  std::vector<SourceId> globals;
+  double cost = 0.0;
+  for (size_t i = 0; i < sick.local_to_global.size(); ++i) {
+    if (!sick.active[i]) continue;
+    const SourceId global = sick.local_to_global[i];
     IMGRN_RETURN_IF_ERROR(CheckFault(fault_sites::kMigrateCopy,
                                      static_cast<int64_t>(global)));
-    GeneMatrix copy =
-        donor->engine.database().matrix(static_cast<SourceId>(i));
-    IMGRN_RETURN_IF_ERROR(AppendToReplicaLocked(
-        *fresh, std::move(copy), global, source_cost_[global]));
+    GeneMatrix copy = sick.engine.database().matrix(static_cast<SourceId>(i));
+    copy.set_source_id(static_cast<SourceId>(part.size()));
+    part.Add(std::move(copy));
+    globals.push_back(global);
+    cost += source_cost_[global];
   }
-  // Publish -> drain -> delete: the topology with the fresh replica in the
+  std::shared_ptr<Shard> fresh = MakeShard();
+  const bool populated = !part.empty();
+  LoadShard(*fresh, std::move(part), std::move(globals), cost);
+  if (populated) {
+    IMGRN_RETURN_IF_ERROR(fresh->engine.BuildIndex());
+    fresh->built = true;
+  }
+  // Publish -> drain -> delete: the topology with the fresh shard in the
   // sick one's place goes live, queries pinned to the old topology finish
-  // against the old replica (whose data outlives them), and the last pin
-  // to unwind retires it — spill file unlinked with it. No generation
-  // bump: replica membership cannot change answers, so the result cache
+  // against the old shard (whose data outlives them), and the last pin to
+  // unwind retires it — spill file unlinked with it. No generation bump:
+  // the rebuilt shard holds the same sources, so the result cache
   // deliberately stays warm through a rebuild.
   auto next = std::make_shared<Topology>();
+  next->shards = current->shards;
+  next->shards[shard] = std::move(fresh);
   next->shard_of = current->shard_of;
-  next->shards.reserve(current->shards.size());
-  for (size_t s = 0; s < current->shards.size(); ++s) {
-    if (s != shard) {
-      next->shards.push_back(current->shards[s]);
-      continue;
-    }
-    std::vector<std::shared_ptr<ShardReplica>> replicas = set.replicas();
-    replicas[replica] = fresh;
-    next->shards.push_back(std::make_shared<ReplicaSet>(std::move(replicas)));
-  }
-  Publish(std::move(next));
-  std::shared_ptr<const Topology> newest;
-  {
-    std::lock_guard<std::mutex> lock(topology_mutex_);
-    newest = topology_;
-  }
-  DrainOlder(*newest);
+  Publish(next);
+  DrainOlder(*next);
   return Status::Ok();
 }
 
 size_t ShardedEngine::num_shards() const {
-  std::lock_guard<std::mutex> lock(topology_mutex_);
-  return topology_->shards.size();
-}
-
-size_t ShardedEngine::num_replicas() const {
-  std::lock_guard<std::mutex> lock(topology_mutex_);
-  return topology_->shards.front()->size();
+  return CurrentTopology()->shards.size();
 }
 
 size_t ShardedEngine::num_sources() const {
@@ -1460,7 +1214,6 @@ ShardedEngineStatsSnapshot ShardedEngine::StatsSnapshot() const {
   TopologyPin topology(*this);
   ShardedEngineStatsSnapshot snapshot;
   snapshot.shards.reserve(topology->shards.size());
-  snapshot.replicas = topology->shards.front()->size();
   // Measured load per shard: sum of the per-source EWMAs under the pinned
   // map (retired sources read 0; a source added after this topology was
   // published is missed until the next publish — a gauge, not a ledger).
@@ -1471,36 +1224,21 @@ ShardedEngineStatsSnapshot ShardedEngine::StatsSnapshot() const {
   std::vector<double> costs;
   costs.reserve(topology->shards.size());
   for (size_t s = 0; s < topology->shards.size(); ++s) {
-    const ReplicaSet& set = *topology->shards[s];
+    const Shard& shard = *topology->shards[s];
     ShardStats stats;
     stats.shard = s;
-    // Gauges read the primary (all replicas mirror the same active set);
-    // traffic counters sum over the replicas, which split the load.
-    stats.sources = set.primary().active_sources.load(
-        std::memory_order_relaxed);
-    stats.cost = set.primary().cost.load(std::memory_order_relaxed);
+    stats.sources = shard.active_sources.load(std::memory_order_relaxed);
+    stats.cost = shard.cost.load(std::memory_order_relaxed);
     stats.measured_work = measured[s];
-    stats.breaker = set.primary().breaker.state();
-    stats.replicas.reserve(set.size());
-    for (size_t r = 0; r < set.size(); ++r) {
-      const ShardReplica& replica = *set.replica(r);
-      ReplicaStats replica_stats;
-      replica_stats.replica = r;
-      const uint64_t started =
-          replica.sub_queries_started.load(std::memory_order_relaxed);
-      replica_stats.sub_queries =
-          replica.sub_queries_finished.load(std::memory_order_relaxed);
-      replica_stats.sub_query_errors =
-          replica.sub_query_errors.load(std::memory_order_relaxed);
-      replica_stats.in_flight = started - replica_stats.sub_queries;
-      replica_stats.breaker = replica.breaker.state();
-      replica_stats.breaker_rejections = replica.breaker.rejections();
-      stats.sub_queries += replica_stats.sub_queries;
-      stats.sub_query_errors += replica_stats.sub_query_errors;
-      stats.in_flight += replica_stats.in_flight;
-      stats.breaker_rejections += replica_stats.breaker_rejections;
-      stats.replicas.push_back(replica_stats);
-    }
+    const uint64_t started =
+        shard.sub_queries_started.load(std::memory_order_relaxed);
+    stats.sub_queries =
+        shard.sub_queries_finished.load(std::memory_order_relaxed);
+    stats.sub_query_errors =
+        shard.sub_query_errors.load(std::memory_order_relaxed);
+    stats.in_flight = started - stats.sub_queries;
+    stats.breaker = shard.breaker.state();
+    stats.breaker_rejections = shard.breaker.rejections();
     costs.push_back(stats.cost);
     snapshot.shards.push_back(std::move(stats));
   }
@@ -1519,11 +1257,10 @@ ShardedEngineStatsSnapshot ShardedEngine::StatsSnapshot() const {
 }
 
 std::shared_mutex& ShardedEngine::shard_mutex_for_testing(
-    size_t shard, size_t replica) const {
+    size_t shard) const {
   std::lock_guard<std::mutex> lock(topology_mutex_);
   IMGRN_CHECK_LT(shard, topology_->shards.size());
-  IMGRN_CHECK_LT(replica, topology_->shards[shard]->size());
-  return topology_->shards[shard]->replica(replica)->mutex;
+  return topology_->shards[shard]->mutex;
 }
 
 }  // namespace imgrn

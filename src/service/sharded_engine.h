@@ -9,12 +9,12 @@
 #include <string>
 #include <vector>
 
+#include "core/engine.h"
 #include "core/query_engine.h"
 #include "service/circuit_breaker.h"
 #include "service/cost_model.h"
 #include "service/maintenance.h"
 #include "service/partitioner.h"
-#include "service/replica_set.h"
 #include "service/result_cache.h"
 #include "service/thread_pool.h"
 
@@ -24,17 +24,12 @@ namespace imgrn {
 /// (kUnavailable) are retried — kDataLoss means the bytes are corrupt and
 /// will stay corrupt, so retrying it only burns the latency budget.
 struct ShardRetryOptions {
-  /// Total attempts per sub-query (1 = no retries). With replicas, each
-  /// attempt is routed independently, so a retry usually lands on a peer
-  /// replica (immediate failover) rather than re-probing the one that
-  /// just failed.
+  /// Total attempts per sub-query (1 = no retries).
   size_t max_attempts = 3;
 
   /// Sleep before the first retry; doubles (backoff_multiplier) per
   /// further retry. Kept short: a sub-query holds no locks while backing
-  /// off, but the caller's latency budget is ticking. Skipped when the
-  /// retry fails over to a DIFFERENT replica — backoff buys a sick
-  /// replica time to recover, a healthy peer needs none.
+  /// off, but the caller's latency budget is ticking.
   int64_t initial_backoff_micros = 100;
 
   double backoff_multiplier = 2.0;
@@ -48,12 +43,10 @@ struct ShardedEngineOptions {
   /// exist here. Resize() can change the count at runtime.
   size_t num_shards = 4;
 
-  /// Replicas per shard (1 = no replication, the historical behavior).
-  /// Every replica is a bit-exact mirror of its shard: updates apply to
-  /// all replicas in lock step, and each sub-query is served by ONE
-  /// replica picked round-robin (skipping quarantined ones), so read
-  /// capacity scales with R while answers stay byte-identical.
-  /// SetReplicas() can change the count at runtime.
+  /// Pending removal. Every shard is exactly one engine, so the only legal
+  /// value is 1 (checked at construction). The field survives only
+  /// because perfbench/perfbench.cc still assigns it; drop it once the
+  /// benchmark stops doing so.
   size_t num_replicas = 1;
 
   /// Placement policy: decides which shard owns each source, both for the
@@ -62,15 +55,15 @@ struct ShardedEngineOptions {
   /// See service/partitioner.h; partitioning never affects query results.
   std::shared_ptr<const Partitioner> partitioner;
 
-  /// Engine/index options applied to every shard replica.
+  /// Engine/index options applied to every shard.
   EngineOptions engine;
 
-  /// When non-empty, every shard replica's engine runs disk-backed: files
-  /// are created in this directory as "shard-<n>.pages" (n from a
-  /// monotonic counter, so files never collide across the shard
-  /// generations LoadDatabase, Resize and SetReplicas create). These
-  /// files are spill space owned by the engine — created on demand,
-  /// unlinked when their replica is destroyed — not a durability domain:
+  /// When non-empty, every shard's engine runs disk-backed: files are
+  /// created in this directory as "shard-<n>.pages" (n from a monotonic
+  /// counter, so files never collide across the shard generations
+  /// LoadDatabase, Resize and RebuildShard create). These files are spill
+  /// space owned by the engine — created on demand, unlinked when their
+  /// shard is destroyed — not a durability domain:
   /// the sharded engine re-partitions on reload. Durable single-store
   /// snapshots are the plain ImGrnEngine's SaveSnapshot. Empty (default)
   /// = in-memory shards, the historical behavior. Overrides
@@ -85,12 +78,11 @@ struct ShardedEngineOptions {
   /// Per-sub-query retry/backoff for transient shard failures.
   ShardRetryOptions retry;
 
-  /// Per-replica circuit breaker quarantining replicas that keep failing
-  /// (see service/circuit_breaker.h). The defaults never trip on a
-  /// healthy replica: only counted failures (kUnavailable/kDataLoss/
-  /// kInternal) move the state machine. A quarantined replica sheds its
-  /// load onto its peers; only when EVERY replica of a shard is
-  /// quarantined does the shard surface kUnavailable.
+  /// Per-shard circuit breaker quarantining shards that keep failing (see
+  /// service/circuit_breaker.h). The defaults never trip on a healthy
+  /// shard: only counted failures (kUnavailable/kDataLoss/kInternal) move
+  /// the state machine. A quarantined shard's sub-queries fail fast with
+  /// kUnavailable, so queries degrade per QueryParams::allow_partial.
   CircuitBreakerOptions breaker;
 
   /// Whole-query result cache (see service/result_cache.h). capacity 0
@@ -102,28 +94,15 @@ struct ShardedEngineOptions {
   ResultCacheOptions cache;
 
   /// Self-healing maintenance plane (see service/maintenance.h): a daemon
-  /// thread that scrubs page checksums, quarantines + rebuilds corrupt
-  /// replicas from healthy peers, reclaims storage stranded by index
+  /// thread that scrubs page checksums, quarantines a corrupt shard and
+  /// rebuilds it from its own sources, reclaims storage stranded by index
   /// rebuilds, and auto-fires Rebalance on measured imbalance with
   /// hysteresis. Off by default (`maintenance.enabled = false`).
   MaintenanceOptions maintenance;
 };
 
-/// Per-replica counters inside one ShardStats.
-struct ReplicaStats {
-  size_t replica = 0;
-  uint64_t sub_queries = 0;      ///< Finished sub-queries this replica served.
-  uint64_t sub_query_errors = 0; ///< Of those, non-OK (incl. cancelled).
-  uint64_t in_flight = 0;        ///< Sub-queries running right now.
-  CircuitBreaker::State breaker = CircuitBreaker::State::kClosed;
-  uint64_t breaker_rejections = 0; ///< Requests this breaker turned away.
-};
-
-/// Per-shard counters of one StatsSnapshot() call. The sub-query counters
-/// are sums over the shard's replicas; `replicas` holds the per-replica
-/// split. `breaker`/`breaker_rejections` keep their single-replica
-/// meaning: replica 0's state and the rejection sum (with num_replicas ==
-/// 1 both read exactly as before replication existed).
+/// Per-shard counters of one StatsSnapshot() call. The traffic counters
+/// restart from zero when RebuildShard replaces the shard.
 struct ShardStats {
   size_t shard = 0;
   size_t sources = 0;            ///< Active (added minus removed) sources.
@@ -136,15 +115,11 @@ struct ShardStats {
   uint64_t sub_query_errors = 0; ///< Of those, non-OK (incl. cancelled).
   uint64_t in_flight = 0;        ///< Sub-queries running right now.
   CircuitBreaker::State breaker = CircuitBreaker::State::kClosed;
-  uint64_t breaker_rejections = 0; ///< Attempts the breakers turned away.
-  std::vector<ReplicaStats> replicas;
+  uint64_t breaker_rejections = 0; ///< Attempts the breaker turned away.
 };
 
 struct ShardedEngineStatsSnapshot {
   std::vector<ShardStats> shards;
-
-  /// Replicas per shard (uniform across shards).
-  size_t replicas = 1;
 
   /// max/mean of the per-shard cost gauges (1.0 = perfectly balanced,
   /// num_shards = all load on one shard). Fan-out latency is bounded by
@@ -167,41 +142,37 @@ struct ShardedEngineStatsSnapshot {
   MaintenanceStats maintenance;
 
   /// One line per shard, e.g. "shard0: sources=3 load=1.2e5
-  /// measured=3.8e4 sub_queries=17 errors=0 in_flight=0", with a
-  /// per-replica breakdown when replicated, then an "imbalance=" summary
-  /// line reporting both ratios and a "cache:" line when one exists.
+  /// measured=3.8e4 sub_queries=17 errors=0 in_flight=0 breaker=closed",
+  /// then an "imbalance=" summary line reporting both ratios and a
+  /// "cache:" line when one exists.
   std::string DebugString() const;
 };
 
-/// A database partitioned across K independent ImGrnEngine instances,
-/// each optionally mirrored across R replicas, queried with fan-out/merge
-/// in front of an optional whole-query result cache. The partition map is
-/// pluggable (see ShardedEngineOptions::partitioner) and can be changed
-/// while the engine serves: Rebalance(plan) migrates sources between
-/// shards, Resize(K') changes the shard count, SetReplicas(R') the
-/// replica count — all without a reload and without ever perturbing query
-/// results.
+/// A database partitioned across K independent ImGrnEngine instances (one
+/// engine per shard), queried with fan-out/merge in front of an optional
+/// whole-query result cache. The partition map is pluggable (see
+/// ShardedEngineOptions::partitioner) and can be changed while the engine
+/// serves: Rebalance(plan) migrates sources between shards and Resize(K')
+/// changes the shard count — both without a reload and without ever
+/// perturbing query results.
 ///
 /// Why: the single-engine QueryService write-locks the WHOLE index for
 /// every AddMatrix/RemoveMatrix, and all queries contend on one buffer
 /// pool. Here an update routes to exactly one shard and only write-locks
-/// that shard's replicas — queries keep running on the other K-1 shards —
-/// and every replica traverses its own R*-tree over its own buffer pool.
-/// Sharding splits the data; replication multiplies READ capacity: R
-/// replicas serve R sub-queries of the same shard concurrently (reads
-/// take shared locks, but each replica has its own buffer pool and
-/// engine, so they do not contend), and the result cache short-circuits
-/// hot queries entirely.
+/// that shard — queries keep running on the other K-1 shards — and every
+/// shard traverses its own R*-tree over its own buffer pool. Readers of
+/// one shard share its reader-writer lock, and the result cache
+/// short-circuits hot queries entirely.
 ///
 /// Query semantics are bit-identical to a single ImGrnEngine over the
-/// unpartitioned database, for every shard count, every replica count,
-/// every partition map, and with or without the cache:
+/// unpartitioned database, for every shard count, every partition map,
+/// and with or without the cache:
 ///   - the query GRN is inferred ONCE (same seed, same stream), then fanned
 ///     out to each shard as a sub-query over that shard's sources;
 ///   - refinement probabilities are per-source deterministic regardless of
 ///     partitioning (PermutationCache draws per-length streams — see
-///     inference/permutation_cache.h), so WHICH replica serves a
-///     sub-query cannot change its matches;
+///     inference/permutation_cache.h), so neither the shard a source lives
+///     on nor its local id there can change its matches;
 ///   - matches come back with shard-local ids, are remapped to global
 ///     source ids, merged in ascending source order, and the top_k policy
 ///     is applied once to the merged set (sub-queries run with top_k
@@ -213,30 +184,28 @@ struct ShardedEngineStatsSnapshot {
 ///     update generation), flagged with QueryStats::cache_hit.
 /// tests/sharded_engine_test.cc enforces this differentially across shard
 /// counts; tests/partition_invariance_test.cc for arbitrary partition
-/// maps and across live Rebalance/Resize; tests/replication_test.cc
-/// across replica counts, cache hits, and breaker-tripped failover.
+/// maps and across live Rebalance/Resize; tests/result_cache_test.cc
+/// across cache hits and invalidations.
 ///
-/// Topology and the rebalance protocol: the shard list (one ReplicaSet
-/// per shard) and the partition map live in one immutable Topology object
-/// published behind a mutex. Every query pins the current topology for
-/// its whole fan-out (a pin count on the topology object) and filters
-/// each shard's matches through the pinned map, so a query is answered by
-/// exactly one owner per source even while sources are in flight between
-/// shards. A migration step is: copy the moving sources into every
-/// replica of their destination shards (under those replicas' write
-/// locks), publish the new topology, wait for every query pinned to an
-/// older topology to drain, then delete the moved sources from their old
-/// shards' replicas. Between the copy and the delete a moving source is
-/// materialized on two shards, but the map filter guarantees each query
+/// Topology and the rebalance protocol: the shard list and the partition
+/// map live in one immutable Topology object published behind a mutex.
+/// Every query pins the current topology for its whole fan-out (a pin
+/// count on the topology object) and filters each shard's matches through
+/// the pinned map, so a query is answered by exactly one owner per source
+/// even while sources are in flight between shards. A migration step is:
+/// copy the moving sources into their destination shards (under those
+/// shards' write locks), publish the new topology, wait for every query
+/// pinned to an older topology to drain, then delete the moved sources
+/// from their old shards. Between the copy and the delete a moving source
+/// is materialized on two shards, but the map filter guarantees each query
 /// counts it exactly once — old-topology queries see it on the old owner
 /// (whose data outlives them), new-topology queries on the new.
-/// SetReplicas reuses the same machinery: growing clones each shard's
-/// primary into fresh replicas (copy) and publishes a topology whose
-/// ReplicaSets include them; shrinking publishes sets without the dropped
-/// replicas and drains the older pins, after which the last shared_ptr
-/// retires them (publish→drain→delete). Queries on shards untouched by a
-/// plan never block; updates (AddSource/RemoveSource) serialize with a
-/// rebalance in progress.
+/// RebuildShard reuses the same machinery: it copies the shard's active
+/// sources into a fresh shard, publishes a topology holding the fresh
+/// shard in the old one's place, and drains the older pins, after which
+/// the last shared_ptr retires the old shard (publish→drain→delete).
+/// Queries on shards untouched by a plan never block; updates
+/// (AddSource/RemoveSource) serialize with a rebalance in progress.
 ///
 /// Fan-out runs on the ThreadPool passed at construction (pass null to run
 /// sub-queries sequentially on the calling thread). The pool may be shared
@@ -244,26 +213,26 @@ struct ShardedEngineStatsSnapshot {
 /// ThreadPool::WaitReady, so a worker blocked on its sub-queries executes
 /// queued tasks itself instead of deadlocking the pool.
 ///
-/// Error semantics: each sub-query attempt is routed to one replica
-/// (round-robin, skipping replicas whose circuit breaker is open) and
-/// retried with bounded backoff for transient (kUnavailable) failures —
-/// a retry after a replica failure moves straight to a peer replica, so
-/// one sick replica degrades nothing as long as a peer survives. If a
-/// shard still fails (all replicas quarantined, or retries exhausted),
-/// the query returns the error Status of the lowest-numbered failing
-/// shard — unless QueryParams::allow_partial is set and the failure is an
-/// infrastructure error (kUnavailable/kDataLoss), in which case the query
-/// degrades: it merges the surviving shards' matches (bit-exact for every
-/// source they own) and reports QueryStats::degraded plus the failed shard
-/// list. Caller-attributed errors (Cancelled, DeadlineExceeded,
-/// InvalidArgument) always fail the whole query, as does every shard
-/// failing at once. All sub-queries are always gathered first — no
-/// orphaned tasks. A cancelled/expired QueryControl fans out to every
-/// shard, so all sub-queries unwind at their next checkpoint. Degraded
-/// and failed results are never cached.
+/// Error semantics: each sub-query runs behind its shard's circuit
+/// breaker and is retried with bounded backoff for transient
+/// (kUnavailable) failures. If a shard still fails (quarantined, or
+/// retries exhausted), the query returns the error Status of the
+/// lowest-numbered failing shard — unless QueryParams::allow_partial is
+/// set and the failure is an infrastructure error (kUnavailable/
+/// kDataLoss), in which case the query degrades: it merges the surviving
+/// shards' matches (bit-exact for every source they own) and reports
+/// QueryStats::degraded plus the failed shard list. Caller-attributed
+/// errors (Cancelled, DeadlineExceeded, InvalidArgument) always fail the
+/// whole query, as does every shard failing at once. All sub-queries are
+/// always gathered first — no orphaned tasks. A cancelled/expired
+/// QueryControl fans out to every shard, so all sub-queries unwind at
+/// their next checkpoint. Degraded and failed results are never cached.
+/// In particular, between QuarantineShard and the end of RebuildShard a
+/// strict query touching that shard returns kUnavailable and an
+/// allow_partial query degrades.
 ///
 /// Thread safety: Query/QueryWithGraph/AddSource/RemoveSource/Rebalance/
-/// Resize/SetReplicas/StatsSnapshot are safe from any thread once
+/// Resize/RebuildShard/StatsSnapshot are safe from any thread once
 /// BuildIndex has run (the QueryEngine contract). LoadDatabase/BuildIndex
 /// are setup-phase calls: no other call may overlap them.
 class ShardedEngine : public QueryEngine {
@@ -280,13 +249,12 @@ class ShardedEngine : public QueryEngine {
 
   /// Partitions the database across the shards following the configured
   /// partitioner's plan over the per-source cost estimates (each shard's
-  /// slice is remapped to that shard's dense local id space, mirrored
-  /// onto every replica). Invalidates any previously built indices.
+  /// slice is remapped to that shard's dense local id space). Invalidates
+  /// any previously built indices.
   void LoadDatabase(GeneDatabase database);
 
-  /// Builds every non-empty shard replica's index, in parallel when a
-  /// pool is available. Must be called after LoadDatabase and before
-  /// Query.
+  /// Builds every non-empty shard's index, in parallel when a pool is
+  /// available. Must be called after LoadDatabase and before Query.
   Status BuildIndex();
 
   Result<std::vector<QueryMatch>> Query(
@@ -301,13 +269,12 @@ class ShardedEngine : public QueryEngine {
 
   /// Appends a new data source; `matrix.source_id()` must equal
   /// num_sources(). The partitioner picks the owning shard (modulo: id mod
-  /// K; cost-based policies: the least-loaded shard); the matrix is
-  /// appended to every replica of that shard (lock step), and only those
-  /// replicas are write-locked.
+  /// K; cost-based policies: the least-loaded shard), and only that shard
+  /// is write-locked.
   Status AddSource(GeneMatrix matrix) override;
 
   /// Retracts a source from query results. Write-locks only the owning
-  /// shard's replicas.
+  /// shard.
   Status RemoveSource(SourceId source) override;
 
   /// Migrates sources so that source i lives on shard plan.shard_of[i],
@@ -315,8 +282,8 @@ class ShardedEngine : public QueryEngine {
   /// must cover exactly num_sources() sources over num_shards() shards.
   /// Retracted sources are accepted in the plan but nothing moves for
   /// them. Blocks concurrent AddSource/RemoveSource/Rebalance/Resize for
-  /// the duration; queries only ever wait on the replicas a migration
-  /// step is actively copying into or deleting from.
+  /// the duration; queries only ever wait on the shards a migration step
+  /// is actively copying into or deleting from.
   Status Rebalance(const PartitionPlan& plan);
 
   /// Auto mode: computes a minimum-movement plan over the CALIBRATED
@@ -337,23 +304,11 @@ class ShardedEngine : public QueryEngine {
   /// Re-partitions the database across `new_num_shards` shards (grow or
   /// shrink) using the configured partitioner, without a reload. Shards
   /// keep their identity below min(K, K'); dropped shards are retired once
-  /// the last in-flight query pinned to them drains; new shards get the
-  /// current replica count. Same blocking behavior as Rebalance.
+  /// the last in-flight query pinned to them drains. Same blocking
+  /// behavior as Rebalance.
   Status Resize(size_t new_num_shards);
 
-  /// Changes the per-shard replica count at runtime, without a reload and
-  /// without perturbing queries. Growing clones every shard's primary
-  /// into fresh replicas (bit-exact copies through the same append path
-  /// migrations use) before publishing them; shrinking publishes sets
-  /// without the tail replicas and drains the queries that could still
-  /// route to them, after which they are destroyed. Does NOT invalidate
-  /// the result cache: replica membership cannot change answers.
-  Status SetReplicas(size_t num_replicas);
-
   size_t num_shards() const;
-
-  /// Current replicas per shard (uniform across shards).
-  size_t num_replicas() const;
 
   /// Total sources ever added (the dense global id space; removed sources
   /// still count — ids are never reused).
@@ -366,12 +321,12 @@ class ShardedEngine : public QueryEngine {
 
   bool has_index() const { return built_; }
 
-  /// Runs one shard's sub-query on its PRIMARY replica under that
-  /// replica's reader lock, returning matches with GLOBAL source ids
-  /// (ascending) for the sources the current partition map assigns to
+  /// Runs one shard's sub-query under that shard's reader lock, bypassing
+  /// its circuit breaker and retries, returning matches with GLOBAL source
+  /// ids (ascending) for the sources the current partition map assigns to
   /// that shard. An empty shard yields an empty result. This is the unit
-  /// Query fans out (there routed across all replicas); it is also useful
-  /// on its own (tests, debugging a single shard).
+  /// Query fans out; it is also useful on its own (tests, debugging or
+  /// timing a single shard).
   Result<std::vector<QueryMatch>> QueryShard(
       size_t shard, const ProbGraph& query_graph, const QueryParams& params,
       QueryStats* stats = nullptr,
@@ -396,55 +351,94 @@ class ShardedEngine : public QueryEngine {
   /// One bounded step of the checksum scrubber (the maintenance daemon's
   /// tick body; public so tests drive it deterministically). Resumes at
   /// `*cursor`, seal-verifies up to `max_pages` live pages across the
-  /// replica stores it reaches, and advances the cursor (wrapping shard /
-  /// replica / page like an odometer). Scrubbing runs under each replica's
-  /// SHARED lock — concurrent queries are undisturbed. When a replica's
-  /// store finishes clean and `reclaim` is set, stranded pages are
-  /// reclaimed under that replica's EXCLUSIVE lock (see
-  /// ImGrnEngine::ReclaimStorage). A kDataLoss seal failure is reported in
-  /// `*report` (not the return Status): the cursor skips to the next
-  /// replica and the caller is expected to QuarantineReplica +
-  /// RebuildReplica. Non-data-loss read errors return the Status with the
-  /// cursor just past the failing page.
+  /// shard stores it reaches, and advances the cursor (wrapping shard /
+  /// page like an odometer). Scrubbing runs under each shard's SHARED
+  /// lock — concurrent queries are undisturbed. When a shard's store
+  /// finishes clean and `reclaim` is set, stranded pages are reclaimed
+  /// under that shard's EXCLUSIVE lock (see ImGrnEngine::ReclaimStorage).
+  /// A kDataLoss seal failure is reported in `*report` (not the return
+  /// Status): the cursor skips to the next shard and the caller is
+  /// expected to QuarantineShard + RebuildShard. Non-data-loss read errors
+  /// return the Status with the cursor just past the failing page.
   Status ScrubStep(ScrubCursor* cursor, size_t max_pages, bool reclaim,
                    ScrubReport* report) const;
 
-  /// Forces the breaker of `shard`/`replica` open (fresh cooldown), so the
-  /// router sheds its traffic onto peer replicas immediately. Used by the
-  /// maintenance daemon the instant the scrubber proves a replica's store
-  /// corrupt.
-  void QuarantineReplica(size_t shard, size_t replica);
+  /// Forces the breaker of `shard` open (fresh cooldown), so its
+  /// sub-queries fail fast with kUnavailable until RebuildShard replaces
+  /// it. Used by the maintenance daemon the instant the scrubber proves
+  /// the shard's store corrupt. `shard` must be < num_shards().
+  void QuarantineShard(size_t shard);
 
-  /// Re-synthesizes `shard`/`replica` from a healthy peer: a fresh replica
-  /// is built by copying every active source out of the lowest-numbered
-  /// non-quarantined peer (falling back to the sick replica's own
-  /// memory-resident tables when no peer exists), published in the
-  /// topology in the old replica's place, and the old replica retired once
-  /// every query pinned to it drains — the same copy -> publish -> drain
-  /// protocol migrations use, so queries never block and answers never
-  /// change. The rebuilt replica starts with a closed breaker and a fresh
-  /// backing store.
-  Status RebuildReplica(size_t shard, size_t replica);
+  /// Re-synthesizes `shard` from its own sources: its active matrices
+  /// (memory-resident, intact even when the backing STORE is not) are
+  /// copied into a fresh engine with a fresh backing store and indexed,
+  /// the fresh shard is published in the topology in the old one's place,
+  /// and the old shard is retired once every query pinned to it drains —
+  /// the copy -> publish -> drain protocol migrations use, so answers
+  /// never change. The rebuilt shard starts with a closed breaker.
+  /// InvalidArgument for an out-of-range shard.
+  Status RebuildShard(size_t shard);
 
   /// The maintenance daemon, or null when options().maintenance.enabled is
   /// false. Tests use it for TickForTesting()/Stats().
   MaintenanceDaemon* maintenance() const { return maintenance_.get(); }
 
-  /// Test/instrumentation hook: the reader-writer lock of one shard
-  /// replica, e.g. to pin a replica in the "update in progress" state and
-  /// observe that the other shards keep serving.
-  std::shared_mutex& shard_mutex_for_testing(size_t shard,
-                                             size_t replica = 0) const;
+  /// Test/instrumentation hook: the reader-writer lock of one shard, e.g.
+  /// to pin a shard in the "update in progress" state and observe that
+  /// the other shards keep serving.
+  std::shared_mutex& shard_mutex_for_testing(size_t shard) const;
 
  private:
-  /// The unit of atomicity for queries: an immutable shard list (one
-  /// ReplicaSet per shard) + partition map, published as a whole. Queries
-  /// pin one topology for their entire fan-out; Rebalance/Resize/
-  /// SetReplicas publish a successor and wait for the pins on the
-  /// predecessor to drain before deleting migrated data (or dropped
-  /// replicas).
+  /// One shard: its own ImGrnEngine (own index, own R*-tree paged file,
+  /// own buffer pool), the local<->global id tables, health gauges, and a
+  /// circuit breaker.
+  struct Shard {
+    Shard(const EngineOptions& options,
+          const CircuitBreakerOptions& breaker_options)
+        : engine(options), breaker(breaker_options) {}
+
+    /// Readers = sub-queries and the scrubber, writer = the update or
+    /// migration step routed to this shard.
+    mutable std::shared_mutex mutex;
+    ImGrnEngine engine;
+
+    /// local id i of this shard's engine holds global source
+    /// local_to_global[i]. Entries are never erased (engine local ids are
+    /// never reused); active[i] is false once the source was retracted or
+    /// migrated away. A source that migrates away and later returns gets a
+    /// fresh local id, so a global id may appear twice with at most one
+    /// entry active.
+    std::vector<SourceId> local_to_global;
+    std::vector<bool> active;
+
+    /// Engine holds a database with a built index. False for a shard that
+    /// never received a source.
+    bool built = false;
+
+    /// Count and estimated cost of active sources, mirrored atomically so
+    /// StatsSnapshot never has to touch `mutex` (it stays callable while a
+    /// shard is write-locked, e.g. from tests observing an in-flight
+    /// update). Only threads holding update_mutex_ write them.
+    std::atomic<size_t> active_sources{0};
+    std::atomic<double> cost{0.0};
+
+    mutable std::atomic<uint64_t> sub_queries_started{0};
+    mutable std::atomic<uint64_t> sub_queries_finished{0};
+    mutable std::atomic<uint64_t> sub_query_errors{0};
+
+    /// Quarantine gate for this shard's sub-queries. Travels with the
+    /// Shard object across Rebalance/Resize (a sick shard stays
+    /// quarantined through a topology change); RebuildShard replaces it.
+    mutable CircuitBreaker breaker;
+  };
+
+  /// The unit of atomicity for queries: an immutable shard list +
+  /// partition map, published as a whole. Queries pin one topology for
+  /// their entire fan-out; Rebalance/Resize/RebuildShard publish a
+  /// successor and wait for the pins on the predecessor to drain before
+  /// deleting migrated data (or the replaced shard).
   struct Topology {
-    std::vector<std::shared_ptr<ReplicaSet>> shards;
+    std::vector<std::shared_ptr<Shard>> shards;
 
     /// Global source id -> owning shard index (size = sources known when
     /// this topology was published; later-added sources are absent and
@@ -474,26 +468,26 @@ class ShardedEngine : public QueryEngine {
 
   /// QueryShard body without the public bounds check. `topology` is the
   /// pinned snapshot whose map filters the shard's matches. Raw: one
-  /// attempt on the given replica, no breaker — the fan-out path wraps it
-  /// in RunShardWithRecovery.
+  /// attempt, no breaker — the fan-out path wraps it in
+  /// RunShardWithRecovery.
   Result<std::vector<QueryMatch>> RunShard(const Topology& topology,
                                            size_t shard_index,
-                                           size_t replica_index,
                                            const ProbGraph& query_graph,
                                            const QueryParams& params,
                                            QueryStats* stats,
                                            const QueryControl* control) const;
 
-  /// RunShard behind the replica circuit breakers with round-robin
-  /// routing, immediate failover to a peer replica after a failure, and
-  /// bounded retry/exponential backoff for kUnavailable (options_.retry).
-  /// Reports retry spend in stats->shard_retries and replicas skipped or
-  /// abandoned in stats->replica_failovers. This is what Query's fan-out
+  /// RunShard behind the shard's circuit breaker, with bounded
+  /// retry/exponential backoff for kUnavailable (options_.retry). Reports
+  /// retry spend in stats->shard_retries. This is what Query's fan-out
   /// runs per shard.
   Result<std::vector<QueryMatch>> RunShardWithRecovery(
       const Topology& topology, size_t shard_index,
       const ProbGraph& query_graph, const QueryParams& params,
       QueryStats* stats, const QueryControl* control) const;
+
+  /// The published topology (under topology_mutex_).
+  std::shared_ptr<const Topology> CurrentTopology() const;
 
   /// Publishes `topology` as the current one (under topology_mutex_) and
   /// records the outgoing topology in the drain history.
@@ -510,43 +504,41 @@ class ShardedEngine : public QueryEngine {
 
   /// Shared migration machinery of Rebalance and Resize: moves every
   /// active source to target_map's shard, over the target_shards list
-  /// (which reuses the current ReplicaSet objects for indices they
-  /// share). Caller holds update_mutex_.
-  Status MigrateLocked(std::vector<std::shared_ptr<ReplicaSet>> target_shards,
+  /// (which reuses the current Shard objects for indices they share).
+  /// Caller holds update_mutex_.
+  Status MigrateLocked(std::vector<std::shared_ptr<Shard>> target_shards,
                        std::vector<uint32_t> target_map);
 
-  /// Appends `matrix` (a global source) to `replica`'s engine under its
-  /// write lock, bootstrapping the engine if the replica was empty.
-  Status AppendToReplicaLocked(ShardReplica& replica, GeneMatrix matrix,
-                               SourceId global, double cost);
+  /// Gives a fresh, never-published `shard` the slice `part` whose local
+  /// id i holds global source `globals[i]`, with total estimated `cost`.
+  /// Loads the engine (when the slice is non-empty) but builds no index.
+  static void LoadShard(Shard& shard, GeneDatabase part,
+                        std::vector<SourceId> globals, double cost);
 
-  /// Appends a copy of `matrix` to EVERY replica of `set` (lock step).
-  /// On a mid-set failure the copies already appended are rolled back, so
-  /// the set never exposes the source on some replicas but not others.
-  Status AppendToAllReplicasLocked(ReplicaSet& set, const GeneMatrix& matrix,
-                                   SourceId global, double cost);
+  /// Appends `matrix` (a global source) to `shard`'s engine under its
+  /// write lock, bootstrapping the engine if the shard was empty.
+  Status AppendToShardLocked(Shard& shard, GeneMatrix matrix,
+                             SourceId global, double cost);
 
-  /// Deactivates `global` on every replica of `set` (engine RemoveMatrix
-  /// + side tables + gauges, under each replica's write lock). With
-  /// `must_exist`, a replica without an active entry is a CHECK failure
-  /// (replicas mirror the same active set); without it such replicas are
-  /// skipped (rollback of a partially appended copy).
-  Status RemoveFromReplicasLocked(ReplicaSet& set, SourceId global,
-                                  double cost, bool must_exist);
+  /// Deactivates `global`'s active entry on `shard` (engine RemoveMatrix
+  /// + side tables + gauges) under the shard's write lock. The entry must
+  /// exist.
+  Status RemoveFromShardLocked(Shard& shard, SourceId global, double cost);
+
+  /// Deactivates local id `local` of `shard`; caller holds the shard's
+  /// write lock and update_mutex_.
+  static Status DeactivateLocal(Shard& shard, size_t local, double cost);
 
   /// CalibratedSourceCosts() body; caller holds update_mutex_.
   std::vector<double> CalibratedCostsLocked() const;
 
-  /// Index of `global`'s active entry in replica.local_to_global, or -1.
-  static int64_t ActiveLocalOf(const ShardReplica& replica, SourceId global);
+  /// Index of `global`'s active entry in shard.local_to_global, or -1.
+  static int64_t ActiveLocalOf(const Shard& shard, SourceId global);
 
-  /// Creates one ShardReplica with the configured engine options, giving
+  /// Creates one empty Shard with the configured engine options, giving
   /// it a fresh backing file under options_.storage_dir when one is set.
   /// Caller must hold update_mutex_ or be in a setup-phase call.
-  std::shared_ptr<ShardReplica> MakeReplica();
-
-  /// A fresh ReplicaSet of `num_replicas` empty replicas.
-  std::shared_ptr<ReplicaSet> MakeReplicaSet(size_t num_replicas);
+  std::shared_ptr<Shard> MakeShard();
 
   ShardedEngineOptions options_;
   std::shared_ptr<const Partitioner> partitioner_;  // Never null.
@@ -562,13 +554,13 @@ class ShardedEngine : public QueryEngine {
   mutable std::vector<std::weak_ptr<const Topology>> topology_history_;
   mutable std::mutex topology_mutex_;
 
-  /// Serializes AddSource/RemoveSource/Rebalance/Resize/SetReplicas with
+  /// Serializes AddSource/RemoveSource/Rebalance/Resize/RebuildShard with
   /// each other (routing + migration metadata below). Queries never touch
   /// this mutex — an update only contends with sub-queries of its own
-  /// shard, via the replica mutexes.
+  /// shard, via the shard mutexes.
   mutable std::mutex update_mutex_;
   size_t next_source_ = 0;
-  size_t shard_files_created_ = 0;  ///< Names the next per-replica file.
+  size_t shard_files_created_ = 0;  ///< Names the next per-shard file.
   std::vector<double> source_cost_;  ///< Per global source, for replanning.
   std::vector<bool> retracted_;      ///< RemoveSource'd global ids.
 
@@ -580,9 +572,9 @@ class ShardedEngine : public QueryEngine {
   /// can change answers (LoadDatabase, AddSource, RemoveSource, and every
   /// Rebalance/Resize — conservatively, since a pure migration cannot).
   /// Cache keys embed the generation they were computed at, so bumping
-  /// makes every prior entry unservable. SetReplicas deliberately does
-  /// NOT bump: replica membership never changes answers, so the cache
-  /// stays warm through replica scaling.
+  /// makes every prior entry unservable. RebuildShard deliberately does
+  /// NOT bump: a rebuilt shard holds the same sources, so the cache stays
+  /// warm through a repair.
   mutable std::atomic<uint64_t> update_generation_{0};
 
   /// Null when options_.cache.capacity == 0.

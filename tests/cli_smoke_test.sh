@@ -43,36 +43,17 @@ grep '^match' "$WORKDIR/shards4.out" > "$WORKDIR/s4" || true
 test -s "$WORKDIR/s1"  # The query must actually match something.
 diff "$WORKDIR/s1" "$WORKDIR/s4"
 
-# Replication is read scaling, not a semantic knob: --replicas=3 (every
-# shard mirrored, sub-queries routed round-robin) must match --shards=1
-# exactly, with and without sharding on top.
-"$IMGRN" query --db="$WORKDIR/db.txt" --query="$WORKDIR/q.txt" \
-    --gamma=0.5 --alpha=0.1 --shards=4 --replicas=3 2>/dev/null \
-    > "$WORKDIR/replicas.out"
-grep '^match' "$WORKDIR/replicas.out" > "$WORKDIR/r43" || true
-diff "$WORKDIR/s1" "$WORKDIR/r43"
-"$IMGRN" query --db="$WORKDIR/db.txt" --query="$WORKDIR/q.txt" \
-    --gamma=0.5 --alpha=0.1 --shards=1 --replicas=2 2>/dev/null \
-    > "$WORKDIR/replicas12.out"
-grep '^match' "$WORKDIR/replicas12.out" > "$WORKDIR/r12" || true
-diff "$WORKDIR/s1" "$WORKDIR/r12"
-
 # The result cache: the first run misses and fills, the rest hit; the
 # counters must agree and the hit rate is printed.
 "$IMGRN" cache stats --db="$WORKDIR/db.txt" --query="$WORKDIR/q.txt" \
-    --gamma=0.5 --alpha=0.1 --shards=2 --replicas=2 --capacity=8 \
+    --gamma=0.5 --alpha=0.1 --shards=2 --capacity=8 \
     --repeat=3 > "$WORKDIR/cache.out"
 grep -q "run 1: cache_hit=false" "$WORKDIR/cache.out"
 grep -q "run 2: cache_hit=true" "$WORKDIR/cache.out"
 grep -q "run 3: cache_hit=true" "$WORKDIR/cache.out"
 grep -q "hits=2 misses=1 insertions=1" "$WORKDIR/cache.out"
 
-# Invalid replica/cache arguments are rejected up front.
-if "$IMGRN" query --db="$WORKDIR/db.txt" --query="$WORKDIR/q.txt" \
-    --replicas=0 2>/dev/null; then
-  echo "expected failure on --replicas=0" >&2
-  exit 1
-fi
+# Invalid cache arguments are rejected up front.
 if "$IMGRN" cache stats --db="$WORKDIR/db.txt" --query="$WORKDIR/q.txt" \
     --capacity=0 2>/dev/null; then
   echo "expected failure on --capacity=0" >&2

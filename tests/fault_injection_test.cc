@@ -364,7 +364,7 @@ TEST(CircuitBreakerTest, ProbeGuardFailureReopensLikeRecordFailure) {
 }
 
 // Trip() is the quarantine entry point for out-of-band verdicts (the
-// maintenance scrubber proving a replica's store corrupt): it must force
+// maintenance scrubber proving a shard's store corrupt): it must force
 // open from EVERY state, start a fresh cooldown, and release a half-open
 // probe slot so the post-cooldown probe is not blocked by a pre-trip
 // attempt.

@@ -22,6 +22,8 @@
 namespace imgrn {
 namespace {
 
+using testing_util::ExpectIdenticalMatches;
+using testing_util::ExpectSameCounters;
 using testing_util::MakePathQuery;
 using testing_util::MakePlantedMatrix;
 
@@ -100,36 +102,11 @@ RunResult RunMatrixQuery(ImGrnEngine* engine, const GeneMatrix& query_matrix,
 }
 
 // Every match field bitwise, every deterministic QueryStats counter
-// exactly. (Wall-clock fields are excluded; they measure the hardware,
-// not the algorithm.)
+// exactly.
 void ExpectIdentical(const RunResult& scalar, const RunResult& simd,
                      const char* what) {
-  ASSERT_EQ(scalar.matches.size(), simd.matches.size()) << what;
-  for (size_t i = 0; i < scalar.matches.size(); ++i) {
-    EXPECT_EQ(scalar.matches[i].source, simd.matches[i].source)
-        << what << " match " << i;
-    EXPECT_EQ(scalar.matches[i].probability, simd.matches[i].probability)
-        << what << " match " << i;
-    EXPECT_EQ(scalar.matches[i].mapping, simd.matches[i].mapping)
-        << what << " match " << i;
-  }
-  const QueryStats& a = scalar.stats;
-  const QueryStats& b = simd.stats;
-  EXPECT_EQ(a.page_accesses, b.page_accesses) << what;
-  EXPECT_EQ(a.page_fetches, b.page_fetches) << what;
-  EXPECT_EQ(a.query_vertices, b.query_vertices) << what;
-  EXPECT_EQ(a.query_edges, b.query_edges) << what;
-  EXPECT_EQ(a.node_pairs_examined, b.node_pairs_examined) << what;
-  EXPECT_EQ(a.node_pairs_pruned_signature, b.node_pairs_pruned_signature)
-      << what;
-  EXPECT_EQ(a.node_pairs_pruned_index, b.node_pairs_pruned_index) << what;
-  EXPECT_EQ(a.leaf_pairs_examined, b.leaf_pairs_examined) << what;
-  EXPECT_EQ(a.leaf_pairs_pruned_pivot, b.leaf_pairs_pruned_pivot) << what;
-  EXPECT_EQ(a.leaf_pairs_pruned_edge, b.leaf_pairs_pruned_edge) << what;
-  EXPECT_EQ(a.candidate_pairs, b.candidate_pairs) << what;
-  EXPECT_EQ(a.candidate_matrices, b.candidate_matrices) << what;
-  EXPECT_EQ(a.matrices_pruned_graph, b.matrices_pruned_graph) << what;
-  EXPECT_EQ(a.answers, b.answers) << what;
+  ExpectIdenticalMatches(simd.matches, scalar.matches, what);
+  ExpectSameCounters(simd.stats, scalar.stats, what);
 }
 
 // One engine per backend, BUILT under that backend — pivot selection,

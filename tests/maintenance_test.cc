@@ -1,12 +1,12 @@
 // The self-healing maintenance plane (service/maintenance.h): the
 // checksum scrubber detects an injected corrupt page BEFORE any query
-// fails, quarantines the replica, and re-synthesizes it from a healthy
-// peer with every query bit-identical to an unsharded reference
-// throughout; storage reclaim frees pages stranded by shadow-paging
-// rebuilds; the auto-rebalance loop fires with hysteresis and an
-// injectable-clock cooldown, and un-sticks the two-shard exchange-only
-// stall via the swap move; the daemon's lifecycle races live queries,
-// Rebalance, Resize, and SetReplicas cleanly. This binary is the
+// fails, quarantines the shard, and rebuilds it from its own sources
+// (ShardedEngine::RebuildShard) with every query bit-identical to an
+// unsharded reference throughout; storage reclaim frees pages stranded by
+// shadow-paging rebuilds; the auto-rebalance loop fires with hysteresis
+// and an injectable-clock cooldown, and un-sticks the two-shard
+// exchange-only stall via the swap move; the daemon's lifecycle races
+// live queries, Rebalance, Resize, and RebuildShard cleanly. This binary is the
 // "maintenance" ctest label: tools/ci_sanitize.sh runs it under both
 // TSan and ASan.
 
@@ -37,6 +37,7 @@ using testing_util::ClusterDatabaseConfig;
 using testing_util::DefaultClusterParams;
 using testing_util::ExpectIdenticalMatches;
 using testing_util::MakeClusterDatabase;
+using testing_util::MakeClusterMatrix;
 using testing_util::MakeClusterQueryMatrix;
 using testing_util::MakeLoadedShardedEngine;
 using testing_util::MakePlantedMatrix;
@@ -89,17 +90,16 @@ class MaintenanceTest : public testing_util::ReferenceEngineFixture {
 
 // --- The acceptance scenario --------------------------------------------
 
-// One replica's store rots (injected disk.read kDataLoss). Driven on the
+// One shard's store rots (injected disk.read kDataLoss). Driven on the
 // deterministic clock (tick_interval_micros = 0, TickForTesting), the
 // scrubber must detect the corruption before any query ever sees it,
-// quarantine the replica, and rebuild it from its healthy peer — with the
-// K x R engine's answers bit-identical to the unsharded reference at
-// every step.
+// quarantine the shard, and rebuild it from its own sources in the same
+// tick — with the sharded engine's answers bit-identical to the
+// unsharded reference at every step.
 TEST_F(MaintenanceTest, ScrubberDetectsCorruptionAndRebuildsFromPeer) {
   TempStorageDir dir("scrub_rebuild");
-  ShardedEngineOptions options =
-      MakeShardedOptions(/*num_shards=*/2, /*num_replicas=*/2,
-                         /*cache_capacity=*/0, dir.path());
+  ShardedEngineOptions options = MakeShardedOptions(
+      /*num_shards=*/2, /*cache_capacity=*/0, dir.path());
   options.maintenance.enabled = true;
   options.maintenance.tick_interval_micros = 0;  // Deterministic: no thread.
   options.maintenance.scrub_pages_per_tick = 64;
@@ -128,7 +128,7 @@ TEST_F(MaintenanceTest, ScrubberDetectsCorruptionAndRebuildsFromPeer) {
   EXPECT_EQ(stats.ticks, 1u);
   EXPECT_EQ(stats.corrupt_pages, 1u)
       << "the scrubber's first page read must hit the injected rot";
-  EXPECT_EQ(stats.replicas_rebuilt, 1u);
+  EXPECT_EQ(stats.shards_rebuilt, 1u);
   EXPECT_EQ(stats.rebuild_failures, 0u);
   EXPECT_EQ(stats.scrub_errors, 0u);
 
@@ -144,71 +144,98 @@ TEST_F(MaintenanceTest, ScrubberDetectsCorruptionAndRebuildsFromPeer) {
   }
   stats = engine->maintenance()->Stats();
   EXPECT_EQ(stats.corrupt_pages, 1u) << "the rebuilt store must scrub clean";
-  EXPECT_EQ(stats.replicas_rebuilt, 1u);
+  EXPECT_EQ(stats.shards_rebuilt, 1u);
   EXPECT_GT(stats.pages_scrubbed, 0u);
   EXPECT_EQ(stats.scrub_errors, 0u);
 
   // The same counters surface through the engine's StatsSnapshot.
   const ShardedEngineStatsSnapshot snapshot = engine->StatsSnapshot();
   EXPECT_TRUE(snapshot.maintenance.enabled);
-  EXPECT_EQ(snapshot.maintenance.replicas_rebuilt, 1u);
+  EXPECT_EQ(snapshot.maintenance.shards_rebuilt, 1u);
   EXPECT_FALSE(snapshot.DebugString().empty());
 }
 
-// Direct quarantine + rebuild (no daemon): answers stay bit-identical
-// while the sick replica is breaker-open and after it is replaced, for
-// every replica of every shard in turn.
+// Direct quarantine + rebuild (no daemon), for every shard in turn.
+// Between QuarantineShard and the end of RebuildShard the shard is out:
+// strict queries get kUnavailable, allow_partial queries degrade with the
+// surviving shard's matches bit-exact. After the rebuild every answer is
+// bit-identical to the unsharded reference again — a retracted source
+// stays retracted, and updates keep landing on the rebuilt shards.
 TEST_F(MaintenanceTest, RebuildReplicaKeepsAnswersBitIdentical) {
   TempStorageDir dir("rebuild_direct");
-  auto engine = MakeLoadedShardedEngine(
-      kConfig, kSources,
-      MakeShardedOptions(/*num_shards=*/2, /*num_replicas=*/2,
-                         /*cache_capacity=*/0, dir.path()));
+  ShardedEngineOptions options = MakeShardedOptions(
+      /*num_shards=*/2, /*cache_capacity=*/0, dir.path());
+  // The quarantine must outlast the window under test; a half-open probe
+  // would otherwise readmit the shard before it is rebuilt.
+  options.breaker.open_duration_micros = 60'000'000;
+  auto engine = MakeLoadedShardedEngine(kConfig, kSources, std::move(options));
+  ASSERT_TRUE(engine->RemoveSource(1).ok());
+  ASSERT_TRUE(reference_.RemoveMatrix(1).ok());
   const GeneMatrix query = MakeClusterQueryMatrix(9201);
   const std::vector<QueryMatch> expected = ReferenceQuery(query, params_);
+  QueryParams partial = params_;
+  partial.allow_partial = true;
 
   for (size_t shard = 0; shard < 2; ++shard) {
-    for (size_t replica = 0; replica < 2; ++replica) {
-      engine->QuarantineReplica(shard, replica);
-      {
-        Result<std::vector<QueryMatch>> got = engine->Query(query, params_);
-        ASSERT_TRUE(got.ok()) << got.status().ToString();
-        ExpectIdenticalMatches(*got, expected, "quarantined");
+    const std::string context = "shard " + std::to_string(shard);
+    engine->QuarantineShard(shard);
+    EXPECT_EQ(engine->Query(query, params_).status().code(),
+              StatusCode::kUnavailable)
+        << context;
+    {
+      std::vector<QueryMatch> surviving;
+      for (const QueryMatch& match : expected) {
+        if (engine->ShardOf(match.source) != shard) {
+          surviving.push_back(match);
+        }
       }
-      ASSERT_TRUE(engine->RebuildReplica(shard, replica).ok());
-      {
-        Result<std::vector<QueryMatch>> got = engine->Query(query, params_);
-        ASSERT_TRUE(got.ok()) << got.status().ToString();
-        ExpectIdenticalMatches(*got, expected, "rebuilt");
-      }
+      ASSERT_FALSE(surviving.empty()) << context;
+      QueryStats stats;
+      Result<std::vector<QueryMatch>> got =
+          engine->Query(query, partial, &stats);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_TRUE(stats.degraded) << context;
+      EXPECT_EQ(stats.failed_shards, std::vector<size_t>{shard}) << context;
+      ExpectIdenticalMatches(*got, surviving, context + " degraded");
+    }
+    ASSERT_TRUE(engine->RebuildShard(shard).ok()) << context;
+    {
+      Result<std::vector<QueryMatch>> got = engine->Query(query, params_);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ExpectIdenticalMatches(*got, expected, context + " rebuilt");
     }
   }
-  EXPECT_FALSE(engine->RebuildReplica(9, 0).ok());
-  EXPECT_FALSE(engine->RebuildReplica(0, 9).ok());
+  EXPECT_EQ(engine->RebuildShard(9).code(), StatusCode::kInvalidArgument);
+
+  ASSERT_TRUE(engine->AddSource(MakeClusterMatrix(kConfig, kSources)).ok());
+  ASSERT_TRUE(reference_.AddMatrix(MakeClusterMatrix(kConfig, kSources)).ok());
+  ASSERT_TRUE(engine->RemoveSource(2).ok());
+  ASSERT_TRUE(reference_.RemoveMatrix(2).ok());
+  Result<std::vector<QueryMatch>> got = engine->Query(query, params_);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ExpectIdenticalMatches(*got, ReferenceQuery(query, params_),
+                         "updates after rebuild");
 }
 
 // --- Scrub cursor robustness --------------------------------------------
 
-// A cursor that outlived a topology change (fewer shards / replicas /
-// pages than it remembers) must clamp, not crash or error, and a driven
-// scrub must still cover the stores.
+// A cursor that outlived a topology change (fewer shards or pages than it
+// remembers) must clamp, not crash or error, and a driven scrub must
+// still cover the stores.
 TEST_F(MaintenanceTest, ScrubStepClampsStaleCursors) {
   TempStorageDir dir("cursor_clamp");
   auto engine = MakeLoadedShardedEngine(
       kConfig, kSources,
-      MakeShardedOptions(/*num_shards=*/3, /*num_replicas=*/2,
-                         /*cache_capacity=*/0, dir.path()));
+      MakeShardedOptions(/*num_shards=*/3, /*cache_capacity=*/0, dir.path()));
 
   ScrubCursor cursor;
-  cursor.shard = 99;  // Past the end: reset to the first replica.
-  cursor.replica = 99;
+  cursor.shard = 99;  // Past the end: reset to the first shard.
   cursor.page = 12345;
   ScrubReport report;
   ASSERT_TRUE(engine->ScrubStep(&cursor, 32, /*reclaim=*/true, &report).ok());
   EXPECT_FALSE(report.corrupt);
 
   // Shrink the topology under the cursor and keep scrubbing.
-  ASSERT_TRUE(engine->SetReplicas(1).ok());
   ASSERT_TRUE(engine->Resize(2).ok());
   size_t total_scrubbed = 0;
   for (int step = 0; step < 64; ++step) {
@@ -481,14 +508,13 @@ TEST_F(MaintenanceTest, DaemonStartStopIsIdempotent) {
 
 // The full plane racing live traffic: a fast-ticking daemon (scrubbing a
 // disk-backed store, reclaiming, and watching the rebalance gauge) under
-// concurrent queries, explicit rebalances, replica-count changes, resizes
-// and stats snapshots. Every query must stay bit-identical to the
+// concurrent queries, explicit rebalances, resizes, shard rebuilds and
+// stats snapshots. Every query must stay bit-identical to the
 // unsharded reference; TSan owns the rest of the assertions.
 TEST_F(MaintenanceTest, DaemonRacesQueriesAndTopologyChanges) {
   TempStorageDir dir("daemon_races");
-  ShardedEngineOptions options =
-      MakeShardedOptions(/*num_shards=*/2, /*num_replicas=*/2,
-                         /*cache_capacity=*/0, dir.path());
+  ShardedEngineOptions options = MakeShardedOptions(
+      /*num_shards=*/2, /*cache_capacity=*/0, dir.path());
   options.maintenance.enabled = true;
   options.maintenance.tick_interval_micros = 200;
   options.maintenance.scrub_pages_per_tick = 128;
@@ -528,12 +554,13 @@ TEST_F(MaintenanceTest, DaemonRacesQueriesAndTopologyChanges) {
   for (int round = 0; round < 4; ++round) {
     EXPECT_TRUE(engine->Rebalance(stalled).ok());
     EXPECT_TRUE(engine->Rebalance(1.25, nullptr).ok());
-    EXPECT_TRUE(engine->SetReplicas(1).ok());
-    EXPECT_TRUE(engine->SetReplicas(2).ok());
     EXPECT_TRUE(engine->Resize(3).ok());
     EXPECT_TRUE(engine->Resize(2).ok());
-    engine->QuarantineReplica(0, 1);
-    EXPECT_TRUE(engine->RebuildReplica(0, 1).ok());
+    // No quarantine first: the racing queries are strict, and a
+    // quarantined shard fails them by design (that window is pinned by
+    // RebuildReplicaKeepsAnswersBitIdentical). The rebuild itself must
+    // never perturb a query.
+    EXPECT_TRUE(engine->RebuildShard(round % 2).ok());
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   stop = true;

@@ -1,12 +1,13 @@
-// The result-cache properties the replication contract rests on, at both
-// layers. Unit level (ResultCache): the LRU capacity bound, EncodeKey
-// covering everything result-affecting, and fingerprint collisions being
+// The result-cache contract of service/result_cache.h, at both layers.
+// Unit level (ResultCache): the LRU capacity bound, EncodeKey covering
+// everything result-affecting, and fingerprint collisions being
 // correctness-neutral (full key compare on hit, per-fingerprint slot
-// replacement). Engine level (ShardedEngine): generation-keyed
-// invalidation across Rebalance AND Resize (a stale generation is
-// structurally unservable), a faulted/degraded miss never poisoning the
-// cache, and answers staying bit-exact under a degenerate hasher or a
-// thrashing capacity bound.
+// replacement). Engine level (ShardedEngine): a hit is bit-identical to
+// the miss that filled it (matches AND counters) and any source update
+// drops it, generation-keyed invalidation across Rebalance AND Resize (a
+// stale generation is structurally unservable), a faulted/degraded miss
+// never poisoning the cache, and answers staying bit-exact under a
+// degenerate hasher or a thrashing capacity bound.
 
 #include <cstdint>
 #include <memory>
@@ -28,7 +29,9 @@ namespace {
 using testing_util::ClusterDatabaseConfig;
 using testing_util::DefaultClusterParams;
 using testing_util::ExpectIdenticalMatches;
+using testing_util::ExpectSameCounters;
 using testing_util::MakeClusterDatabase;
+using testing_util::MakeClusterMatrix;
 using testing_util::MakeClusterQueryMatrix;
 using testing_util::MakeLoadedShardedEngine;
 using testing_util::MakePathQuery;
@@ -210,13 +213,75 @@ class ResultCacheEngineTest : public testing_util::ReferenceEngineFixture {
   const QueryParams params_ = DefaultClusterParams();
 };
 
+// A cache hit is bit-identical to the miss that filled it — matches AND
+// counters — and ANY source update (add or remove) drops it.
+TEST_F(ResultCacheEngineTest, CacheHitBitIdenticalAndInvalidatedByUpdates) {
+  const GeneMatrix query = MakeClusterQueryMatrix(8200);
+  ThreadPool pool(2);
+  std::unique_ptr<ShardedEngine> sharded = MakeLoadedShardedEngine(
+      kCacheConfig, kSources, MakeShardedOptions(2, /*cache_capacity=*/8),
+      &pool);
+
+  QueryStats miss_stats;
+  Result<std::vector<QueryMatch>> first =
+      sharded->Query(query, params_, &miss_stats);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_FALSE(miss_stats.cache_hit);
+  ExpectIdenticalMatches(*first, ReferenceQuery(query, params_), "miss");
+
+  QueryStats hit_stats;
+  Result<std::vector<QueryMatch>> second =
+      sharded->Query(query, params_, &hit_stats);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_TRUE(hit_stats.cache_hit);
+  ExpectIdenticalMatches(*second, *first, "hit vs miss");
+  ExpectSameCounters(hit_stats, miss_stats, "hit counters");
+
+  ResultCacheStats cache = sharded->CacheStats();
+  EXPECT_EQ(cache.hits, 1u);
+  EXPECT_EQ(cache.misses, 1u);
+  EXPECT_EQ(cache.insertions, 1u);
+  EXPECT_EQ(cache.size, 1u);
+
+  // Adding a source drops the entry...
+  ASSERT_TRUE(
+      sharded->AddSource(MakeClusterMatrix(kCacheConfig, kSources)).ok());
+  ASSERT_TRUE(
+      reference_.AddMatrix(MakeClusterMatrix(kCacheConfig, kSources)).ok());
+  QueryStats after_add;
+  Result<std::vector<QueryMatch>> third =
+      sharded->Query(query, params_, &after_add);
+  ASSERT_TRUE(third.ok()) << third.status().ToString();
+  EXPECT_FALSE(after_add.cache_hit);
+  ExpectIdenticalMatches(*third, ReferenceQuery(query, params_), "after add");
+
+  // ...the refill serves hits again...
+  QueryStats rehit;
+  Result<std::vector<QueryMatch>> fourth =
+      sharded->Query(query, params_, &rehit);
+  ASSERT_TRUE(fourth.ok()) << fourth.status().ToString();
+  EXPECT_TRUE(rehit.cache_hit);
+  ExpectIdenticalMatches(*fourth, *third, "rehit");
+
+  // ...and a removal drops it too.
+  ASSERT_TRUE(sharded->RemoveSource(0).ok());
+  ASSERT_TRUE(reference_.RemoveMatrix(0).ok());
+  QueryStats after_remove;
+  Result<std::vector<QueryMatch>> fifth =
+      sharded->Query(query, params_, &after_remove);
+  ASSERT_TRUE(fifth.ok()) << fifth.status().ToString();
+  EXPECT_FALSE(after_remove.cache_hit);
+  ExpectIdenticalMatches(*fifth, ReferenceQuery(query, params_),
+                         "after remove");
+}
+
 // The generation key makes stale entries structurally unservable: after a
 // Rebalance or Resize the old entry can never match, the recompute is
 // bit-exact, and the refilled entry serves hits again.
 TEST_F(ResultCacheEngineTest, RebalanceAndResizeInvalidateStaleGenerations) {
   ThreadPool pool(2);
   std::unique_ptr<ShardedEngine> sharded = MakeLoadedShardedEngine(
-      kCacheConfig, kSources, MakeShardedOptions(3, 1, /*cache_capacity=*/8),
+      kCacheConfig, kSources, MakeShardedOptions(3, /*cache_capacity=*/8),
       &pool);
   const GeneMatrix query = MakeClusterQueryMatrix(8500);
   const std::vector<QueryMatch> expected = ReferenceQuery(query, params_);
@@ -261,7 +326,7 @@ TEST_F(ResultCacheEngineTest, RebalanceAndResizeInvalidateStaleGenerations) {
 TEST_F(ResultCacheEngineTest, FaultedMissDoesNotPoisonTheCache) {
   constexpr size_t kSickShard = 1;
   ShardedEngineOptions options =
-      MakeShardedOptions(3, 1, /*cache_capacity=*/8);
+      MakeShardedOptions(3, /*cache_capacity=*/8);
   options.retry.initial_backoff_micros = 1;
   options.breaker.failure_threshold = 100;  // Keep the breaker out of this.
   std::unique_ptr<ShardedEngine> sharded =
@@ -319,7 +384,7 @@ TEST_F(ResultCacheEngineTest, FaultedMissDoesNotPoisonTheCache) {
 // collapses (per-fingerprint replacement), answers never change.
 TEST_F(ResultCacheEngineTest, DegenerateHasherKeepsAnswersBitExact) {
   ShardedEngineOptions options =
-      MakeShardedOptions(2, 1, /*cache_capacity=*/4);
+      MakeShardedOptions(2, /*cache_capacity=*/4);
   options.cache.hasher = [](std::string_view) { return 7ull; };
   std::unique_ptr<ShardedEngine> sharded =
       MakeLoadedShardedEngine(kCacheConfig, kSources, std::move(options));
@@ -352,7 +417,7 @@ TEST_F(ResultCacheEngineTest, DegenerateHasherKeepsAnswersBitExact) {
 // every miss recomputes bit-exact.
 TEST_F(ResultCacheEngineTest, CapacityBoundHoldsUnderThrash) {
   std::unique_ptr<ShardedEngine> sharded = MakeLoadedShardedEngine(
-      kCacheConfig, kSources, MakeShardedOptions(2, 1, /*cache_capacity=*/2));
+      kCacheConfig, kSources, MakeShardedOptions(2, /*cache_capacity=*/2));
 
   // Three gene-distinct queries (distinct inferred graphs, so distinct
   // cache keys); every source plants {1, 2, 3}, so the pair subsets still

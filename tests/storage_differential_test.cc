@@ -22,6 +22,8 @@
 namespace imgrn {
 namespace {
 
+using testing_util::ExpectIdenticalMatches;
+using testing_util::ExpectSameCounters;
 using testing_util::MakePathQuery;
 using testing_util::MakePlantedMatrix;
 
@@ -80,21 +82,12 @@ ColdQueryResult RunCold(ImGrnEngine* engine, const ProbGraph& query,
   return result;
 }
 
+// Every match field bitwise, every deterministic QueryStats counter
+// exactly (both runs start from a cold pool, so even page_accesses agree).
 void ExpectIdentical(const ColdQueryResult& mem, const ColdQueryResult& disk,
                      const char* what) {
-  ASSERT_EQ(mem.matches.size(), disk.matches.size()) << what;
-  for (size_t i = 0; i < mem.matches.size(); ++i) {
-    EXPECT_EQ(mem.matches[i].source, disk.matches[i].source) << what;
-    EXPECT_EQ(mem.matches[i].probability, disk.matches[i].probability)
-        << what << " match " << i;
-    EXPECT_EQ(mem.matches[i].mapping, disk.matches[i].mapping) << what;
-  }
-  EXPECT_EQ(mem.stats.page_accesses, disk.stats.page_accesses) << what;
-  EXPECT_EQ(mem.stats.page_fetches, disk.stats.page_fetches) << what;
-  EXPECT_EQ(mem.stats.node_pairs_examined, disk.stats.node_pairs_examined)
-      << what;
-  EXPECT_EQ(mem.stats.leaf_pairs_examined, disk.stats.leaf_pairs_examined)
-      << what;
+  ExpectIdenticalMatches(disk.matches, mem.matches, what);
+  ExpectSameCounters(disk.stats, mem.stats, what);
 }
 
 std::vector<QueryParams> ParamGrid() {
@@ -200,14 +193,8 @@ TEST(StorageDifferentialTest, MatrixQueryParityOnReopenedEngine) {
       reopened.Query(*query, params, &disk_stats);
   ASSERT_TRUE(disk_matches.ok());
 
-  ASSERT_EQ(mem_matches->size(), disk_matches->size());
-  for (size_t i = 0; i < mem_matches->size(); ++i) {
-    EXPECT_EQ((*mem_matches)[i].source, (*disk_matches)[i].source);
-    EXPECT_EQ((*mem_matches)[i].probability, (*disk_matches)[i].probability);
-    EXPECT_EQ((*mem_matches)[i].mapping, (*disk_matches)[i].mapping);
-  }
-  EXPECT_EQ(mem_stats.page_accesses, disk_stats.page_accesses);
-  EXPECT_EQ(mem_stats.page_fetches, disk_stats.page_fetches);
+  ExpectIdenticalMatches(*disk_matches, *mem_matches, "matrix query");
+  ExpectSameCounters(disk_stats, mem_stats, "matrix query");
 }
 
 TEST(StorageDifferentialTest, IncrementalUpdatesKeepParity) {

@@ -70,7 +70,7 @@ inline ProbGraph MakePathQuery(const std::vector<GeneId>& genes) {
 //
 // The service-layer differential suites (sharded_engine_test,
 // partition_invariance_test, fault_injection_test, shard_stress_test,
-// replication_test, result_cache_test) all build the same shape of
+// maintenance_test, result_cache_test) all build the same shape of
 // database: cluster {1, 2, 3} planted in every source (so every source
 // answers the cluster query) plus per-source filler genes. They differ
 // only in seeds, sample-count formulas, and filler gene ids — and those
@@ -147,12 +147,10 @@ inline QueryParams DefaultClusterParams() {
 /// ShardedEngineOptions builder covering the axes the suites sweep. The
 /// remaining knobs keep their defaults; callers adjust them on the result.
 inline ShardedEngineOptions MakeShardedOptions(size_t num_shards,
-                                               size_t num_replicas = 1,
                                                size_t cache_capacity = 0,
                                                std::string storage_dir = "") {
   ShardedEngineOptions options;
   options.num_shards = num_shards;
-  options.num_replicas = num_replicas;
   options.cache.capacity = cache_capacity;
   options.storage_dir = std::move(storage_dir);
   return options;
@@ -170,8 +168,9 @@ inline std::unique_ptr<ShardedEngine> MakeLoadedShardedEngine(
 }
 
 /// Byte-exact match comparison — the differential suites' core assertion.
-/// EXPECT_EQ on the probability doubles on purpose: sharding, replication,
-/// partitioning, and caching must not perturb a single bit.
+/// EXPECT_EQ on the probability doubles on purpose: sharding,
+/// partitioning, storage backends, kernels and caching must not perturb a
+/// single bit.
 inline void ExpectIdenticalMatches(const std::vector<QueryMatch>& actual,
                                    const std::vector<QueryMatch>& expected,
                                    const std::string& context) {
@@ -183,6 +182,52 @@ inline void ExpectIdenticalMatches(const std::vector<QueryMatch>& actual,
         << context << " [" << i << "]";
     EXPECT_EQ(actual[i].mapping, expected[i].mapping)
         << context << " [" << i << "]";
+  }
+}
+
+/// Every deterministic QueryStats field compared exactly: the I/O, pruning
+/// and refinement counters, the answer count, the degradation outcome, the
+/// retry count and the per-source cost breakdown. Only the wall-clock
+/// *_seconds fields (they measure the hardware, not the algorithm) and
+/// cache_hit (the one field a cache may change) are left out.
+inline void ExpectSameCounters(const QueryStats& actual,
+                               const QueryStats& expected,
+                               const std::string& context) {
+  EXPECT_EQ(actual.page_accesses, expected.page_accesses) << context;
+  EXPECT_EQ(actual.page_fetches, expected.page_fetches) << context;
+  EXPECT_EQ(actual.query_vertices, expected.query_vertices) << context;
+  EXPECT_EQ(actual.query_edges, expected.query_edges) << context;
+  EXPECT_EQ(actual.node_pairs_examined, expected.node_pairs_examined)
+      << context;
+  EXPECT_EQ(actual.node_pairs_pruned_signature,
+            expected.node_pairs_pruned_signature)
+      << context;
+  EXPECT_EQ(actual.node_pairs_pruned_index, expected.node_pairs_pruned_index)
+      << context;
+  EXPECT_EQ(actual.leaf_pairs_examined, expected.leaf_pairs_examined)
+      << context;
+  EXPECT_EQ(actual.leaf_pairs_pruned_pivot, expected.leaf_pairs_pruned_pivot)
+      << context;
+  EXPECT_EQ(actual.leaf_pairs_pruned_edge, expected.leaf_pairs_pruned_edge)
+      << context;
+  EXPECT_EQ(actual.candidate_pairs, expected.candidate_pairs) << context;
+  EXPECT_EQ(actual.candidate_matrices, expected.candidate_matrices)
+      << context;
+  EXPECT_EQ(actual.matrices_pruned_graph, expected.matrices_pruned_graph)
+      << context;
+  EXPECT_EQ(actual.answers, expected.answers) << context;
+  EXPECT_EQ(actual.degraded, expected.degraded) << context;
+  EXPECT_EQ(actual.failed_shards, expected.failed_shards) << context;
+  EXPECT_EQ(actual.shard_retries, expected.shard_retries) << context;
+  ASSERT_EQ(actual.source_costs.size(), expected.source_costs.size())
+      << context;
+  for (size_t i = 0; i < actual.source_costs.size(); ++i) {
+    const SourceCostSample& a = actual.source_costs[i];
+    const SourceCostSample& e = expected.source_costs[i];
+    EXPECT_EQ(a.source, e.source) << context << " cost [" << i << "]";
+    EXPECT_EQ(a.work, e.work) << context << " cost [" << i << "]";
+    EXPECT_EQ(a.candidate_pairs, e.candidate_pairs)
+        << context << " cost [" << i << "]";
   }
 }
 

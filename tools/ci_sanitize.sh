@@ -12,15 +12,14 @@
 # sanitizer should see) and "robustness" (fault injection, circuit
 # breaker, degraded queries, and fault-killed migrations: the
 # rollback/roll-forward paths normal traffic never reaches, where leaks
-# and races hide) and "replication" (the replica-set + result-cache
-# differential suites: round-robin routing over lock-free cursors, breaker
-# failover, and generation-keyed cache eviction/replacement — run under
-# BOTH kinds, races on the routing side and leaks on the eviction side)
-# and "maintenance" (the self-healing plane: the daemon thread scrubbing
-# every replica's store and firing rebalances while queries and topology
-# changes race it — TSan territory — and the quarantine/rebuild path
-# replacing whole replicas and reclaiming stranded pages — ASan/leak
-# territory; also run under BOTH kinds);
+# and races hide) and "cache" (the result-cache differential suite:
+# generation-keyed invalidation racing lookups, and entry
+# eviction/replacement — run under BOTH kinds, races on the lookup side
+# and leaks on the eviction side) and "maintenance" (the self-healing
+# plane: the daemon thread scrubbing every shard's store and firing
+# rebalances while queries and topology changes race it — TSan territory
+# — and the quarantine/rebuild path replacing whole shards and reclaiming
+# stranded pages — ASan/leak territory; also run under BOTH kinds);
 # see tests/CMakeLists.txt. The ASan run additionally
 # covers "storage" (the durable page store: shadow-paging recovery,
 # kill-at-each-fsync-point reopen, snapshot corruption rejection — raw
@@ -81,8 +80,8 @@ cmake -B "$BUILD_DIR" -S "$SRC_DIR" \
 TARGETS="thread_pool_test query_service_test sharded_engine_test \
          shard_stress_test histogram_test imgrn_index_test \
          partition_invariance_test \
-         cost_model_test fault_injection_test replication_test \
-         result_cache_test maintenance_test"
+         cost_model_test fault_injection_test result_cache_test \
+         maintenance_test"
 if [ "$KIND" = address ]; then
   TARGETS="$TARGETS disk_storage_test snapshot_test storage_differential_test"
 fi
@@ -100,7 +99,7 @@ fi
 
 # One ctest invocation per label (gtest_discover_tests supports only one
 # label per binary, so the gate's coverage is the union of these runs).
-LABELS="concurrency partitioning robustness replication maintenance"
+LABELS="concurrency partitioning robustness cache maintenance"
 if [ "$KIND" = address ]; then
   LABELS="$LABELS storage"
 fi

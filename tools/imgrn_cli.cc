@@ -9,7 +9,7 @@
 //       Build and persist the IM-GRN index.
 //   imgrn query --db=db.txt --index=db.idx --query=q.txt
 //               [--gamma=0.5] [--alpha=0.5] [--top_k=0] [--shards=1]
-//               [--replicas=1] [--store=mem|disk:FILE]
+//               [--store=mem|disk:FILE]
 //               [--partition=modulo|balanced|calibrated]
 //               [--fault=SPEC] [--fault-seed=N] [--allow-partial=0|1]
 //       Run one IM-GRN query; q.txt is a gene matrix file (matrix_io.h).
@@ -33,19 +33,13 @@
 //       packing; calibrated: LPT over measured-cost-blended estimates —
 //       see service/partitioner.h and service/cost_model.h). Incompatible
 //       with --index (per-shard indices are built in memory).
-//       --replicas=R > 1 mirrors every shard across R replicas
-//       (service/replica_set.h): updates apply to all replicas in lock
-//       step and each sub-query is served by one replica picked
-//       round-robin, so the matches are identical to --replicas=1 by
-//       construction (read scaling, not a semantic knob). Implies the
-//       sharded path even with --shards=1.
 //       --fault= installs fault-injection rules for the run (grammar in
 //       common/fault_injection.h, e.g. --fault=shard.subquery#1=n1);
 //       --fault-seed seeds the probabilistic triggers. With
 //       --allow-partial=1 a query that loses shards degrades instead of
 //       failing: the surviving shards' matches are printed, a DEGRADED
 //       line names the failed shards, and the exit code stays 0.
-//   imgrn cache stats --db=db.txt --query=q.txt [--shards=2] [--replicas=1]
+//   imgrn cache stats --db=db.txt --query=q.txt [--shards=2]
 //               [--capacity=64] [--repeat=3] [--gamma=0.5] ...
 //       Demo/diagnostic for the whole-query result cache
 //       (service/result_cache.h): run the same query --repeat times
@@ -66,16 +60,16 @@
 //       (ShardedEngine::Rebalance(target)), which moves only the few
 //       sources needed to bring max/mean under --target-imbalance.
 //   imgrn maintenance status --db=db.txt --query=q.txt [--shards=2]
-//               [--replicas=2] [--ticks=8] [--scrub-pages=64] [--fault=...]
+//               [--ticks=8] [--scrub-pages=64] [--fault=...]
 //       Demo/diagnostic for the self-healing maintenance plane
-//       (service/maintenance.h): build a sharded+replicated engine with
-//       the daemon in deterministic mode, interleave --ticks maintenance
-//       ticks with queries, and dump the maintenance counters — pages
-//       scrubbed, corruption found, replicas rebuilt, storage reclaimed,
-//       rebalance fires. --fault can inject disk corruption (e.g.
+//       (service/maintenance.h): build a sharded engine with the daemon
+//       in deterministic mode, interleave --ticks maintenance ticks with
+//       queries, and dump the maintenance counters — pages scrubbed,
+//       corruption found, shards rebuilt, storage reclaimed, rebalance
+//       fires. --fault can inject disk corruption (e.g.
 //       --fault=disk.read=p1:x1:code=dataloss) to watch the scrubber
-//       detect it and the rebuild path heal the replica, with the query
-//       answers verified bit-identical throughout.
+//       detect it and RebuildShard heal the shard from its own sources,
+//       with the query answers verified bit-identical throughout.
 //   imgrn extract-query --db=db.txt --out=q.txt [--genes=5] [--gamma=0.5]
 //       Extract a connected query matrix from the database (for demos).
 //   imgrn infer --matrix=m.txt [--measure=imgrn] [--gamma=0.5]
@@ -235,7 +229,6 @@ int CmdQuery(int argc, char** argv) {
              {"alpha", "0.5"},
              {"top_k", "0"},
              {"shards", "1"},
-             {"replicas", "1"},
              {"partition", "modulo"},
              {"fault", ""},
              {"fault-seed", "1234"},
@@ -256,11 +249,6 @@ int CmdQuery(int argc, char** argv) {
     std::fprintf(stderr, "--shards must be >= 1\n");
     return 2;
   }
-  const size_t replicas = static_cast<size_t>(args.GetInt("replicas"));
-  if (replicas == 0) {
-    std::fprintf(stderr, "--replicas must be >= 1\n");
-    return 2;
-  }
   Result<std::shared_ptr<const Partitioner>> partitioner =
       ParsePartitioner(args.Get("partition"));
   if (!partitioner.ok()) {
@@ -268,11 +256,11 @@ int CmdQuery(int argc, char** argv) {
                  partitioner.status().message().c_str());
     return 2;
   }
-  const bool sharded_path = shards > 1 || replicas > 1;
+  const bool sharded_path = shards > 1;
   if (sharded_path && args.Has("index")) {
     std::fprintf(stderr,
-                 "--shards > 1 / --replicas > 1 build per-shard indices in "
-                 "memory and cannot use --index\n");
+                 "--shards > 1 builds per-shard indices in memory and "
+                 "cannot use --index\n");
     return 2;
   }
   Result<GeneDatabase> database = LoadGeneDatabase(args.Get("db"));
@@ -307,13 +295,12 @@ int CmdQuery(int argc, char** argv) {
   Result<std::vector<QueryMatch>> matches = std::vector<QueryMatch>{};
   if (sharded_path) {
     std::fprintf(stderr,
-                 "(sharding across %zu in-memory engines x %zu replicas, "
-                 "%s partitioning)\n",
-                 shards, replicas, (*partitioner)->name());
+                 "(sharding across %zu in-memory engines, %s "
+                 "partitioning)\n",
+                 shards, (*partitioner)->name());
     ThreadPool pool;
     ShardedEngineOptions options;
     options.num_shards = shards;
-    options.num_replicas = replicas;
     options.partitioner = *partitioner;
     ShardedEngine engine(options, &pool);
     engine.LoadDatabase(std::move(*database));
@@ -375,7 +362,7 @@ int CmdCache(int argc, char** argv) {
   if (argc < 3 || std::strcmp(argv[2], "stats") != 0) {
     std::fprintf(stderr,
                  "usage: imgrn cache stats --db=FILE --query=FILE "
-                 "[--shards=2] [--replicas=1] [--capacity=64] [--repeat=3] "
+                 "[--shards=2] [--capacity=64] [--repeat=3] "
                  "[--gamma=0.5] [--alpha=0.5] [--top_k=0] [--seed=99]\n");
     return 2;
   }
@@ -383,7 +370,6 @@ int CmdCache(int argc, char** argv) {
             {{"db", ""},
              {"query", ""},
              {"shards", "2"},
-             {"replicas", "1"},
              {"capacity", "64"},
              {"repeat", "3"},
              {"gamma", "0.5"},
@@ -395,11 +381,10 @@ int CmdCache(int argc, char** argv) {
     return 2;
   }
   const size_t shards = static_cast<size_t>(args.GetInt("shards"));
-  const size_t replicas = static_cast<size_t>(args.GetInt("replicas"));
   const size_t capacity = static_cast<size_t>(args.GetInt("capacity"));
   const size_t repeat = static_cast<size_t>(args.GetInt("repeat"));
-  if (shards == 0 || replicas == 0 || repeat == 0) {
-    std::fprintf(stderr, "--shards/--replicas/--repeat must be >= 1\n");
+  if (shards == 0 || repeat == 0) {
+    std::fprintf(stderr, "--shards/--repeat must be >= 1\n");
     return 2;
   }
   if (capacity == 0) {
@@ -420,7 +405,6 @@ int CmdCache(int argc, char** argv) {
   ThreadPool pool;
   ShardedEngineOptions options;
   options.num_shards = shards;
-  options.num_replicas = replicas;
   options.cache.capacity = capacity;
   ShardedEngine engine(options, &pool);
   engine.LoadDatabase(std::move(*database));
@@ -569,7 +553,7 @@ int CmdMaintenance(int argc, char** argv) {
   if (argc < 3 || std::strcmp(argv[2], "status") != 0) {
     std::fprintf(stderr,
                  "usage: imgrn maintenance status --db=FILE --query=FILE "
-                 "[--shards=2] [--replicas=2] [--ticks=8] [--scrub-pages=64] "
+                 "[--shards=2] [--ticks=8] [--scrub-pages=64] "
                  "[--storage-dir=DIR] [--fault=SPEC] [--fault-seed=1234] "
                  "[--gamma=0.5] [--alpha=0.5] [--top_k=0] [--seed=99]\n");
     return 2;
@@ -578,7 +562,6 @@ int CmdMaintenance(int argc, char** argv) {
             {{"db", ""},
              {"query", ""},
              {"shards", "2"},
-             {"replicas", "2"},
              {"ticks", "8"},
              {"scrub-pages", "64"},
              {"storage-dir", ""},
@@ -594,10 +577,9 @@ int CmdMaintenance(int argc, char** argv) {
     return 2;
   }
   const size_t shards = static_cast<size_t>(args.GetInt("shards"));
-  const size_t replicas = static_cast<size_t>(args.GetInt("replicas"));
   const size_t ticks = static_cast<size_t>(args.GetInt("ticks"));
-  if (shards == 0 || replicas == 0) {
-    std::fprintf(stderr, "--shards/--replicas must be >= 1\n");
+  if (shards == 0) {
+    std::fprintf(stderr, "--shards must be >= 1\n");
     return 2;
   }
   Result<GeneDatabase> database = LoadGeneDatabase(args.Get("db"));
@@ -614,7 +596,6 @@ int CmdMaintenance(int argc, char** argv) {
   ThreadPool pool;
   ShardedEngineOptions options;
   options.num_shards = shards;
-  options.num_replicas = replicas;
   options.storage_dir = args.Get("storage-dir");
   options.maintenance.enabled = true;
   // Deterministic mode: no background thread; every tick below is driven
@@ -674,12 +655,12 @@ int CmdMaintenance(int argc, char** argv) {
   const ShardedEngineStatsSnapshot snapshot = engine.StatsSnapshot();
   const MaintenanceStats& m = snapshot.maintenance;
   std::printf("maintenance: ticks=%llu pages_scrubbed=%llu "
-              "corrupt_pages=%llu replicas_rebuilt=%llu "
+              "corrupt_pages=%llu shards_rebuilt=%llu "
               "rebuild_failures=%llu scrub_errors=%llu\n",
               static_cast<unsigned long long>(m.ticks),
               static_cast<unsigned long long>(m.pages_scrubbed),
               static_cast<unsigned long long>(m.corrupt_pages),
-              static_cast<unsigned long long>(m.replicas_rebuilt),
+              static_cast<unsigned long long>(m.shards_rebuilt),
               static_cast<unsigned long long>(m.rebuild_failures),
               static_cast<unsigned long long>(m.scrub_errors));
   std::printf("maintenance: pages_reclaimed=%llu slots_truncated=%llu "
